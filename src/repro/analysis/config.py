@@ -10,19 +10,17 @@ Scope patterns are dotted module names with ``fnmatch`` wildcards
 (``repro.engine.*`` matches the package root and everything below it;
 a pattern without wildcards matches that module exactly).
 
-On Python ≥ 3.11 the section is read with :mod:`tomllib`; on 3.10 a
-deliberately tiny TOML-subset parser (tables, strings, booleans,
-integers, string lists) keeps the analyzer dependency-free — the
-section's schema never needs more than that subset.
+The section is read with the standard library's :mod:`tomllib`, so the
+analyzer stays dependency-free.
 """
 
 from __future__ import annotations
 
-import re
+import tomllib
 from dataclasses import dataclass, field, fields
 from fnmatch import fnmatchcase
 
-__all__ = ["AnalysisConfig", "load_config", "parse_toml_subset", "module_matches"]
+__all__ = ["AnalysisConfig", "load_config", "module_matches"]
 
 
 def module_matches(module: str, patterns: tuple[str, ...]) -> bool:
@@ -175,154 +173,7 @@ class AnalysisConfig:
         return cls(**kwargs)  # type: ignore[arg-type]
 
 
-# --- minimal TOML subset (3.10 fallback) ---------------------------------
-
-_TABLE_RE = re.compile(r"^\[(?P<name>[^\]]+)\]\s*$")
-_KEY_RE = re.compile(r"^(?P<key>[A-Za-z0-9_\-\.\"']+)\s*=\s*(?P<value>.+)$")
-
-
-def _strip_comment(line: str) -> str:
-    """Drop a trailing comment, respecting single/double quotes."""
-    out: list[str] = []
-    quote: str | None = None
-    for ch in line:
-        if quote is not None:
-            out.append(ch)
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-            out.append(ch)
-        elif ch == "#":
-            break
-        else:
-            out.append(ch)
-    return "".join(out).strip()
-
-
-def _parse_scalar(text: str) -> object:
-    text = text.strip()
-    if (text.startswith('"') and text.endswith('"')) or (
-        text.startswith("'") and text.endswith("'")
-    ):
-        return text[1:-1]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"unsupported TOML value: {text!r}") from None
-
-
-def _parse_list(text: str) -> list[object]:
-    inner = text.strip()[1:-1].strip()
-    if not inner:
-        return []
-    items: list[object] = []
-    for piece in _split_top_level(inner):
-        piece = piece.strip()
-        if piece:
-            items.append(_parse_scalar(piece))
-    return items
-
-
-def _split_top_level(text: str) -> list[str]:
-    parts: list[str] = []
-    buf: list[str] = []
-    quote: str | None = None
-    for ch in text:
-        if quote is not None:
-            buf.append(ch)
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-            buf.append(ch)
-        elif ch == ",":
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    if buf:
-        parts.append("".join(buf))
-    return parts
-
-
-def parse_toml_subset(text: str) -> dict[str, dict[str, object]]:
-    """Parse the TOML subset the analyzer's config section needs.
-
-    Tables, string/bool/int/float scalars, and (possibly multiline)
-    string lists.  This exists only as the Python 3.10 fallback —
-    :func:`load_config` prefers :mod:`tomllib` — and it raises on
-    anything outside the subset rather than guessing.
-    """
-    tables: dict[str, dict[str, object]] = {}
-    current: dict[str, object] = tables.setdefault("", {})
-    pending_key: str | None = None
-    pending_buf = ""
-    for raw_line in text.splitlines():
-        line = _strip_comment(raw_line)
-        if pending_key is not None:
-            pending_buf += " " + line
-            if _balanced(pending_buf):
-                current[pending_key] = _parse_list(pending_buf)
-                pending_key = None
-                pending_buf = ""
-            continue
-        if not line:
-            continue
-        table_match = _TABLE_RE.match(line)
-        if table_match is not None:
-            current = tables.setdefault(table_match.group("name").strip(), {})
-            continue
-        key_match = _KEY_RE.match(line)
-        if key_match is None:
-            raise ValueError(f"unsupported TOML line: {raw_line!r}")
-        key = key_match.group("key").strip().strip("\"'")
-        value = key_match.group("value").strip()
-        if value.startswith("["):
-            if _balanced(value):
-                current[key] = _parse_list(value)
-            else:
-                pending_key = key
-                pending_buf = value
-        else:
-            current[key] = _parse_scalar(value)
-    if pending_key is not None:
-        raise ValueError(f"unterminated list for key {pending_key!r}")
-    return tables
-
-
-def _balanced(text: str) -> bool:
-    depth = 0
-    quote: str | None = None
-    for ch in text:
-        if quote is not None:
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-    return depth == 0
-
-
 def _read_pyproject(path: str) -> dict[str, object]:
-    try:
-        import tomllib
-    except ImportError:  # Python 3.10
-        with open(path, encoding="utf-8") as handle:
-            tables = parse_toml_subset(handle.read())
-        section = tables.get("tool.repro-analysis", {})
-        return dict(section)
     with open(path, "rb") as handle:
         data = tomllib.load(handle)
     tool = data.get("tool", {})

@@ -101,7 +101,7 @@ from repro.fleet.engine import (
     FleetEngine,
     PoolRuntime,
     StreamingConfig,
-    allocator_annotations,
+    allocator_decision,
     oracle_allocator,
     static_allocator,
 )
@@ -152,7 +152,7 @@ __all__ = [
     "SpotMarket",
     "static_allocator",
     "oracle_allocator",
-    "allocator_annotations",
+    "allocator_decision",
     "FleetMetrics",
     "ClusterMetrics",
     "QueryRecord",

@@ -16,6 +16,7 @@ Two modes, both seeded and fully deterministic:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -48,8 +49,10 @@ class QueryArrival:
     arrival_time: float
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError("arrival times cannot be negative")
+        # NaN compares false against everything, so it would pass a bare
+        # ``< 0`` check and then silently break the event heap's order.
+        if not math.isfinite(self.arrival_time) or self.arrival_time < 0:
+            raise ValueError("arrival times must be finite and non-negative")
 
 
 def _finalize(

@@ -16,18 +16,25 @@ them:
   cooldown on the way down — and every provisioned executor-second,
   idle or not, lands on the bill.
 
-The parity contract that keeps this layer honest: a sharded fleet of
-**one statically provisioned pool** reproduces
-:meth:`FleetEngine.serve <repro.fleet.engine.FleetEngine.serve>`
-*bit-for-bit* — same records, same skylines, same summary — because both
-drivers issue the identical event sequence to the identical
-:class:`PoolRuntime`.  Asserted in ``tests/fleet/test_cluster.py`` and
-re-checked in CI by the fleet bench gate
-(``benchmarks/perf/run_fleet_bench.py`` / ``compare.py``).
+This module holds the fleet's one serve loop.
+:class:`~repro.fleet.engine.FleetEngine` is a sharded fleet of **one
+statically provisioned pool** behind the default round-robin router, so
+single-pool and N-pool serves run the same code; the multiprocess
+driver (:mod:`repro.fleet.parallel`) shares the event dispatch
+(:meth:`PoolRuntime.dispatch
+<repro.fleet.engine.PoolRuntime.dispatch>`), the allocator step
+(:func:`~repro.fleet.engine.allocator_decision`), the router views and
+the metric roll-up defined here.  With the sharded-of-one parity now
+holding by construction, two oracles check the loop against independent
+references: a fleet of one query on an uncontended pool reproduces
+``simulate_query`` bit-for-bit (``tests/engine/test_execution_parity.py``),
+and contended single-pool serves are pinned to recorded summaries and
+record digests (``tests/fleet/test_engine_golden.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -42,12 +49,9 @@ from repro.fleet.engine import (
     Allocator,
     FleetConfig,
     PoolRuntime,
-    _raise_stalled,
-    allocator_annotations,
-    decision_fields,
-    validate_stream,
+    allocator_decision,
 )
-from repro.fleet.metrics import ClusterMetrics
+from repro.fleet.metrics import ClusterMetrics, FleetMetrics, _serving_window
 from repro.obs.trace import TraceEvent, Tracer
 from repro.fleet.routing import (
     DEFAULT_RUNTIME_ESTIMATE_S,
@@ -98,6 +102,79 @@ class PoolSpec:
         )
 
 
+def pool_specs(pools: Sequence[PoolSpec | int]) -> list[PoolSpec]:
+    """Normalize a driver's ``pools`` argument (plain ints are
+    statically provisioned pools of that capacity)."""
+    specs = [
+        spec if isinstance(spec, PoolSpec) else PoolSpec(capacity=int(spec))
+        for spec in pools
+    ]
+    if not specs:
+        raise ValueError("a sharded fleet needs at least one pool")
+    return specs
+
+
+def static_views(specs: Sequence[PoolSpec]) -> list[PoolView]:
+    """Idle-valued pool snapshots for a state-blind router.
+
+    A ``uses_pool_state = False`` router may read only the static shape
+    fields (``index``, ``capacity``, ``max_capacity``) and the pool
+    count, so one frozen list serves every routing call; building live
+    snapshots per submit measured at >60 % of a round-robin serve.
+    """
+    return [
+        PoolView(
+            index=i,
+            capacity=spec.capacity,
+            max_capacity=spec.max_capacity,
+            free=spec.capacity,
+            in_use=0,
+            queue_length=0,
+            queued_executors=0,
+            queued_work_seconds=0.0,
+            active_queries=0,
+        )
+        for i, spec in enumerate(specs)
+    ]
+
+
+def route(router: Router, request: RoutingRequest, views: list[PoolView]) -> int:
+    """Ask ``router`` for a pool and reject an out-of-range pick."""
+    chosen = router.pick(request, views)
+    if not 0 <= chosen < len(views):
+        raise ValueError(
+            f"router {router.name!r} picked pool {chosen} out of {len(views)}"
+        )
+    return chosen
+
+
+def cluster_metrics(pools: list[FleetMetrics], placed: Sequence[int]) -> ClusterMetrics:
+    """Roll finalized pools up into the cluster's metrics.
+
+    ``placed[q]`` is the pool that served stream position ``q`` (empty
+    for a streaming serve).  Each pool lists its records in stream
+    order, so drawing from the placed pool in turn rebuilds the
+    cluster's stream order.  Every pool then bills the cluster-wide
+    serving window — a pool the router never picked still pays for its
+    provisioned floor — recovered in streaming mode from the per-pool
+    accumulators (pools with no observations contribute nothing).
+    ``FleetMetrics`` derives everything lazily, so the window can be set
+    after ``finalize``.
+    """
+    drawn = [iter(pool.records) for pool in pools]
+    records = [next(drawn[i]) for i in placed]
+    if records:
+        window = _serving_window(records)
+    else:
+        stats = [pool.stats for pool in pools if pool.stats is not None]
+        starts = [s.first_arrival for s in stats if s.first_arrival is not None]
+        ends = [s.last_finish for s in stats if s.last_finish is not None]
+        window = (min(starts), max(ends))
+    for pool in pools:
+        pool.serving_window = window
+    return ClusterMetrics(pools=pools, records=records, pool_of=list(placed))
+
+
 class ShardedFleet:
     """Serve an arrival stream across several pools behind a router.
 
@@ -128,14 +205,8 @@ class ShardedFleet:
         config: FleetConfig = FleetConfig(),
         tracer: Tracer | None = None,
     ) -> None:
-        specs = [
-            spec if isinstance(spec, PoolSpec) else PoolSpec(capacity=int(spec))
-            for spec in pools
-        ]
-        if not specs:
-            raise ValueError("a sharded fleet needs at least one pool")
         self.workload = workload
-        self.pools = specs
+        self.pools = pool_specs(pools)
         self.allocator = allocator
         self.router: Router = router if router is not None else RoundRobinRouter()
         self.cluster = cluster
@@ -157,25 +228,31 @@ class ShardedFleet:
     def serve(self, arrivals: Iterable[QueryArrival]) -> ClusterMetrics:
         """Play out the whole stream; returns the cluster's metrics.
 
-        In streaming mode (:attr:`FleetConfig.streaming`) ``arrivals``
-        may be any time-ordered iterable — consumed lazily, one arrival
+        Queries are keyed by *stream position*, never by the
+        user-supplied ``QueryArrival.index`` field.  Record mode takes
+        the arrivals in any order (and rejects duplicate indices).  In
+        streaming mode (:attr:`FleetConfig.streaming`) ``arrivals`` may
+        be any time-ordered iterable — consumed lazily, one arrival
         ahead of the clock — and the returned :class:`ClusterMetrics`
         carries per-pool sketches instead of records.
         """
         config = self.config
-        streaming = config.streaming
+        record_mode = config.streaming is None
+        tracer = self.tracer
         ticking = False
 
         counter = itertools.count()
-        # (time, class, seq, kind, pool, q, payload) — class 0 arrivals
-        # keyed by stream position, class 1 everything else keyed by the
-        # push counter.  Identical total order to the old single-counter
-        # heap (arrivals were always pushed first), but correct even when
-        # arrivals enter lazily; see FleetEngine.serve for the argument.
+        # (time, class, seq, kind, pool, q, payload).  Class 0 is an
+        # arrival keyed by its stream position, class 1 everything else
+        # keyed by the push counter: same-instant ties break
+        # arrivals-first in stream order, then in push order.  Arrivals
+        # enter the heap one at a time, in time order, the next when the
+        # previous fires — the same total order as pushing them all up
+        # front, with O(1) arrivals in flight.
         events: list[tuple[float, int, int, str, int, int, object]] = []
 
         def push(
-            time: float, kind: str, pool: int, q: int = -1, payload: object = None
+            pool: int, time: float, kind: str, q: int = -1, payload: object = None
         ) -> None:
             heapq.heappush(events, (time, 1, next(counter), kind, pool, q, payload))
 
@@ -187,12 +264,12 @@ class ShardedFleet:
 
         def start_ticks(now: float) -> None:
             # One tick chain for the whole cluster, anchored at the first
-            # admission anywhere — exactly the single-pool engine's
-            # anchoring when the cluster has one pool.
+            # admission anywhere — matching the single-query scheduler's
+            # ticks at k·tick_interval from query submission.
             nonlocal ticking
             if wants_ticks and not ticking:
                 ticking = True
-                push(now + config.tick_interval, "tick", -1)
+                push(-1, now + config.tick_interval, "tick")
 
         runtimes: list[PoolRuntime] = []
         scalers: dict[int, PoolAutoscaler] = {}
@@ -203,53 +280,52 @@ class ShardedFleet:
                 cluster=self.cluster,
                 admission=spec.admission,
                 config=config,
-                push=(
-                    lambda time, kind, q=-1, payload=None, pool=i: push(
-                        time, kind, pool, q, payload
-                    )
-                ),
+                # A partial, not a lambda: no extra Python frame per push.
+                push=functools.partial(push, i),
                 start_ticks=start_ticks,
                 compiled=self._compiled,
                 max_capacity=spec.max_capacity,
-                tracer=self.tracer,
+                tracer=tracer,
                 pool_index=i,
             )
             if spec.autoscaler is not None:
                 runtime.track_capacity()
-                scalers[i] = PoolAutoscaler(spec.autoscaler, tracer=self.tracer, pool=i)
+                scalers[i] = PoolAutoscaler(spec.autoscaler, tracer=tracer, pool=i)
             runtimes.append(runtime)
 
-        tracer = self.tracer
-        decisions: dict[int, tuple[int, bool | None, float, float | None]] = {}
-        notes: dict[int, dict] = {}
-        pool_of: dict[int, int] = {}
+        if record_mode:
+            # Replay the stream time-sorted (stable: ties keep stream
+            # order) under its stream positions.
+            feed = iter(
+                sorted(
+                    enumerate(validate_stream(arrivals)),
+                    key=lambda entry: entry[1].arrival_time,
+                )
+            )
+        else:
+            feed = enumerate(arrivals)
         total = 0
         finished = 0
-        exhausted = True
+        exhausted = False
+        last_arrival_t = 0.0
 
-        if streaming is None:
-            stream = validate_stream(arrivals)
-            total = len(stream)
-        else:
-            arrival_iter = iter(arrivals)
-            last_arrival_t = 0.0
+        def pull_arrival() -> None:
+            # Keep exactly one unprocessed arrival in the heap; the next
+            # is pulled when this one's arrive event fires.
+            nonlocal total, exhausted, last_arrival_t
+            for pos, arrival in feed:
+                t = arrival.arrival_time
+                if t < last_arrival_t:
+                    raise ValueError("streaming arrival streams must be time-ordered")
+                last_arrival_t = t
+                heapq.heappush(events, (t, 0, pos, "arrive", -1, pos, arrival))
+                total += 1
+                return
+            exhausted = True
 
-            def pull_arrival() -> None:
-                nonlocal total, exhausted, last_arrival_t
-                for arrival in arrival_iter:
-                    t = arrival.arrival_time
-                    if t < last_arrival_t:
-                        raise ValueError(
-                            "streaming arrival streams must be time-ordered"
-                        )
-                    last_arrival_t = t
-                    heapq.heappush(
-                        events, (t, 0, total, "arrive", -1, total, arrival)
-                    )
-                    total += 1
-                    return
-                exhausted = True
-
+        pull_arrival()
+        if total == 0:
+            raise ValueError("cannot serve an empty arrival stream")
         if tracer is not None:
             tracer.emit(
                 TraceEvent(
@@ -261,6 +337,9 @@ class ShardedFleet:
                     {"pools": [spec.capacity for spec in self.pools]},
                 )
             )
+
+        decisions: dict[int, tuple[int, bool | None, float, float | None, dict]] = {}
+        pool_of: dict[int, int] = {}
 
         def view(i: int) -> PoolView:
             runtime = runtimes[i]
@@ -283,30 +362,9 @@ class ShardedFleet:
                 oldest_submit_time=runtime.arbiter.oldest_submit_time,
             )
 
-        # A state-blind router (uses_pool_state = False) never reads the
-        # dynamic fields, so building live snapshots per submit is pure
-        # overhead — measured at >60 % of round-robin serve time.  Hand
-        # it one frozen set of idle-valued views instead.  Routers that
-        # omit the attribute are conservatively assumed stateful.
+        # Routers that omit ``uses_pool_state`` are assumed stateful.
         live_views = getattr(self.router, "uses_pool_state", True)
-        static_views = (
-            None
-            if live_views
-            else [
-                PoolView(
-                    index=i,
-                    capacity=runtime.capacity,
-                    max_capacity=runtime.max_capacity,
-                    free=runtime.capacity,
-                    in_use=0,
-                    queue_length=0,
-                    queued_executors=0,
-                    queued_work_seconds=0.0,
-                    active_queries=0,
-                )
-                for i, runtime in enumerate(runtimes)
-            ]
-        )
+        frozen_views = static_views(self.pools)
 
         def scalers_can_act() -> bool:
             """Whether any autoscaler can still unblock queued work —
@@ -320,31 +378,18 @@ class ShardedFleet:
                     return True
             return False
 
-        # --- bootstrap ---------------------------------------------------
-        if streaming is None:
-            for pos, arrival in enumerate(stream):
-                heapq.heappush(
-                    events, (arrival.arrival_time, 0, pos, "arrive", -1, pos, arrival)
-                )
-        else:
-            exhausted = False
-            pull_arrival()
-            if total == 0:
-                raise ValueError("cannot serve an empty arrival stream")
-
         # --- main loop ---------------------------------------------------
         while events:
             now, _, _, kind, pool, q, payload = heapq.heappop(events)
             if kind == "arrive":
-                arrival = payload
-                plan = self.workload.optimized_plan(arrival.query_id)
-                decision = self.allocator(arrival.query_id, plan)
-                decisions[q] = decision_fields(decision, self.max_budget)
-                notes[q] = allocator_annotations(self.allocator, decision)
-                seconds = decisions[q][2]
+                decision = allocator_decision(
+                    self.allocator, self.workload, payload.query_id, self.max_budget
+                )
+                decisions[q] = decision
+                _, cached, seconds, estimate, notes = decision
                 if tracer is not None:
                     tracer.emit(
-                        TraceEvent(now, "query_arrive", -1, q, arrival.query_id)
+                        TraceEvent(now, "query_arrive", -1, q, payload.query_id)
                     )
                     tracer.emit(
                         TraceEvent(
@@ -352,24 +397,25 @@ class ShardedFleet:
                             "query_predict",
                             -1,
                             q,
-                            arrival.query_id,
+                            payload.query_id,
                             {
-                                "executors": notes[q]["predicted_executors"],
-                                "cached": decisions[q][1],
+                                "executors": notes["predicted_executors"],
+                                "cached": cached,
                                 "seconds": seconds,
-                                "estimated_runtime_s": decisions[q][3],
-                                "policy": notes[q]["policy"],
+                                "estimated_runtime_s": estimate,
+                                "policy": notes["policy"],
                             },
                         )
                     )
                 delay = seconds if config.charge_prediction_overhead else 0.0
-                push(now + delay, "submit", -1, q, arrival)
+                push(-1, now + delay, "submit", q, payload)
                 if not exhausted:
                     pull_arrival()
             elif kind == "submit":
                 arrival = payload
-                budget, cached, seconds, estimate = decisions[q]
-                chosen = self.router.pick(
+                budget, cached, seconds, estimate, notes = decisions[q]
+                chosen = route(
+                    self.router,
                     RoutingRequest(
                         query_id=arrival.query_id,
                         app_id=arrival.app_id,
@@ -380,15 +426,10 @@ class ShardedFleet:
                     (
                         [view(i) for i in range(self.n_pools)]
                         if live_views
-                        else static_views
+                        else frozen_views
                     ),
                 )
-                if not 0 <= chosen < self.n_pools:
-                    raise ValueError(
-                        f"router {self.router.name!r} picked pool {chosen} "
-                        f"out of {self.n_pools}"
-                    )
-                if streaming is None:
+                if record_mode:
                     pool_of[q] = chosen
                 if tracer is not None:
                     tracer.emit(
@@ -402,85 +443,48 @@ class ShardedFleet:
                         )
                     )
                 runtimes[chosen].submit(
-                    now, q, arrival, budget, cached, seconds, notes.pop(q), estimate
+                    now, q, arrival, budget, cached, seconds, notes, estimate
                 )
-            elif kind == "driver_done":
-                runtimes[pool].handle_driver_done(now, q)
-            elif kind == "exec_arrive":
-                runtimes[pool].handle_exec_arrive(now, q)
-            elif kind == "task_done":
-                if runtimes[pool].handle_task_done(now, q, payload):
-                    finished += 1
-                    # The routing view only inspects still-queued
-                    # requests, so a finished query's decision tuple can
-                    # go; in streaming mode this is what keeps the
-                    # decision memo O(in-flight) instead of O(stream).
-                    decisions.pop(q, None)
-            elif kind == "exec_fail":
-                runtimes[pool].handle_exec_fail(now, q, payload)
-            elif kind == "scale_online":
-                scalers[pool].capacity_online(now, payload)
-                runtimes[pool].resize(now, runtimes[pool].capacity + payload)
             elif kind == "tick":
                 for runtime in runtimes:
                     runtime.on_tick(now)
                 for i, scaler in scalers.items():
                     delta = scaler.evaluate(now, view(i))
                     if delta > 0:
-                        push(
-                            now + scaler.config.scale_up_lag_s,
-                            "scale_online",
-                            i,
-                            payload=delta,
-                        )
+                        lag = scaler.config.scale_up_lag_s
+                        push(i, now + lag, "scale_online", -1, delta)
                     elif delta < 0:
                         runtimes[i].resize(now, runtimes[i].capacity + delta)
                 if finished < total or not exhausted:
                     if not events and not scalers_can_act():
-                        _raise_cluster_stalled(runtimes, total - finished)
-                    push(now + config.tick_interval, "tick", -1)
+                        # Stall guard: the tick chain is the only thing
+                        # left, so no run will ever release or acquire
+                        # capacity again — without this the ticks would
+                        # spin forever.  (Unreachable while the arrival
+                        # stream is live: its next arrive event is in the
+                        # heap.)
+                        _raise_stalled(runtimes, total - finished)
+                    push(-1, now + config.tick_interval, "tick")
+            elif kind == "scale_online":
+                scalers[pool].capacity_online(now, payload)
+                runtimes[pool].resize(now, runtimes[pool].capacity + payload)
+            elif runtimes[pool].dispatch(now, kind, q, payload):
+                finished += 1
+                # The routing view only inspects still-queued requests,
+                # so a finished query's decision can go: the memo stays
+                # O(in-flight) instead of O(stream).
+                del decisions[q]
 
         if finished < total:
-            _raise_cluster_stalled(runtimes, total - finished)
+            _raise_stalled(runtimes, total - finished)
 
-        if streaming is None:
-            records = []
-            placed = []
-            for q in range(total):
-                chosen = pool_of[q]
-                records.append(runtimes[chosen].records[q])
-                placed.append(chosen)
-            # Every pool bills the cluster-wide serving window: a pool the
-            # router never picked still pays for its provisioned floor.
-            window = (
-                min(r.arrival_time for r in records),
-                max(r.finish_time for r in records),
-            )
-        else:
-            records = []
-            placed = []
-            # The same cluster-wide window, recovered from the per-pool
-            # streaming accumulators (pools the router never picked have
-            # no observations and contribute nothing).
-            starts = [
-                r.stats.first_arrival
-                for r in runtimes
-                if r.stats is not None and r.stats.first_arrival is not None
-            ]
-            ends = [
-                r.stats.last_finish
-                for r in runtimes
-                if r.stats is not None and r.stats.last_finish is not None
-            ]
-            window = (min(starts), max(ends))
-        if tracer is not None:
-            tracer.emit(
-                TraceEvent(window[1], "serve_end", -1, -1, None, {"queries": total})
-            )
-        pool_metrics = [runtime.finalize(serving_window=window) for runtime in runtimes]
-        metrics = ClusterMetrics(
-            pools=pool_metrics, records=records, pool_of=placed
+        metrics = cluster_metrics(
+            [runtime.finalize() for runtime in runtimes],
+            [pool_of[q] for q in range(total)] if record_mode else [],
         )
+        if tracer is not None:
+            end = metrics.pools[0].serving_window[1]
+            tracer.emit(TraceEvent(end, "serve_end", -1, -1, None, {"queries": total}))
         feedback = config.feedback
         if feedback is not None:
             # One cluster-wide sink, so its ledger attaches once at the
@@ -492,18 +496,32 @@ class ShardedFleet:
         return metrics
 
 
-def _raise_cluster_stalled(runtimes: Sequence[PoolRuntime], unfinished: int) -> None:
-    queued = sum(runtime.arbiter.queue_length for runtime in runtimes)
-    if queued > 0:
-        # Per-pool detail via the single-pool error on the worst offender.
-        worst = max(runtimes, key=lambda r: r.arbiter.queue_length)
-        _raise_stalled(worst.arbiter, unfinished)
+def validate_stream(arrivals: Iterable[QueryArrival]) -> list[QueryArrival]:
+    """The record-mode arrival-stream checks."""
+    stream = list(arrivals)
+    if not stream:
+        raise ValueError("cannot serve an empty arrival stream")
+    if len({a.index for a in stream}) != len(stream):
+        raise ValueError("arrival stream has duplicate indices")
+    return stream
+
+
+def _raise_stalled(runtimes: Sequence[PoolRuntime], unfinished: int) -> None:
+    """Report a stall: a queue nothing will admit (named for the worst
+    pool), or admitted queries that hold and will acquire no executors."""
+    worst = max(runtimes, key=lambda runtime: runtime.queue_length)
+    if worst.queue_length > 0:
+        raise RuntimeError(
+            f"admission stalled: {worst.queue_length} queued requests, "
+            "an idle pool, and a policy that admits none of them"
+        )
     running = {
         i: runtime.unfinished_queries()
         for i, runtime in enumerate(runtimes)
         if runtime.unfinished_queries()
     }
     raise RuntimeError(
-        f"sharded fleet stalled with {unfinished} unfinished queries "
-        f"(running per pool: {running}, queued: {queued})"
+        f"fleet stalled: {unfinished} admitted queries hold no executors, "
+        "have no grants in flight, and their scaling policies acquire none "
+        f"(running per pool: {running})"
     )

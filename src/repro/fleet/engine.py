@@ -10,21 +10,26 @@ may start.
 
 Both simulators drive the same per-query state machine, the shared
 :class:`~repro.engine.execution.ExecutionCore`; this module contributes
-only the fleet-specific parts — the shared event heap, admission through
-the :class:`~repro.fleet.admission.CapacityArbiter`, and per-query
-capacity accounting against the pool.  Those parts live in
-:class:`PoolRuntime`, *one pool's* serving state machine, deliberately
-separated from the event loop that drives it: :class:`FleetEngine` runs
-one runtime on its own heap, and :class:`repro.fleet.cluster.ShardedFleet`
-multiplexes N runtimes (plus routing and autoscaling) on one shared heap.
-The contracts that keep every path honest: a fleet of one query on an
-uncontended pool reproduces ``simulate_query`` under
+only the fleet-specific parts — admission through the
+:class:`~repro.fleet.admission.CapacityArbiter` and per-query capacity
+accounting against the pool.  Those parts live in :class:`PoolRuntime`,
+*one pool's* serving state machine, deliberately separated from the
+event loop that drives it.  There is one serve loop,
+:meth:`ShardedFleet.serve <repro.fleet.cluster.ShardedFleet.serve>`;
+:class:`FleetEngine` is a one-pool ``ShardedFleet`` behind the default
+round-robin router, so its traces carry ``query_route`` events and its
+``query_arrive``/``query_predict`` events are stamped pool ``-1`` (not
+yet routed).  In both serve modes a finished query's run state is freed
+at finish (or when its last in-flight executor grant comes back), so
+ticks and pool views walk only live queries.  The contracts that keep
+the loop honest: a fleet of one query on an uncontended pool reproduces
+``simulate_query`` under
 :class:`~repro.engine.allocation.BudgetAllocation` *bit-for-bit* —
-runtime, AUC, and skyline — a property asserted across the whole TPC-DS
-workload in ``tests/engine/test_execution_parity.py``, and a sharded
-fleet of one static pool reproduces ``FleetEngine.serve`` bit-for-bit
-(``tests/fleet/test_cluster.py``); both are re-checked by the CI bench
-gates.
+runtime, AUC, and skyline — asserted across the whole TPC-DS workload
+in ``tests/engine/test_execution_parity.py``, and contended
+``FleetEngine`` serves (record mode with ticks, streaming, faults) are
+pinned to recorded summaries and record digests in
+``tests/fleet/test_engine_golden.py``.
 
 Allocators decide each query's *admission budget*.  Three are provided: a
 :func:`static_allocator` (the default-configuration baseline), the online
@@ -46,12 +51,10 @@ way.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Any, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -84,7 +87,7 @@ __all__ = [
     "FleetEngine",
     "PoolRuntime",
     "StreamingConfig",
-    "allocator_annotations",
+    "allocator_decision",
     "static_allocator",
     "oracle_allocator",
 ]
@@ -200,9 +203,10 @@ class FleetConfig:
             engine.  A :class:`StreamingConfig` (or ``True`` for the
             defaults) makes every fleet driver fold finished queries
             into :class:`~repro.fleet.metrics.PoolStreamStats` instead
-            of retaining them, free all per-query state eagerly, accept
-            generator arrival streams (time-ordered; consumed lazily),
-            and optionally spool records to JSONL.
+            of retaining them, accept generator arrival streams
+            (time-ordered; consumed lazily), and optionally spool
+            records to JSONL.  Per-query run state is freed at finish in
+            both modes.
         feedback: optional :class:`FeedbackSink` receiving every finished
             query's outcome (record, predicted runtime, optimized plan)
             on the simulation clock — the continual-learning loop's
@@ -235,39 +239,35 @@ class FleetConfig:
         return self.idle_release_timeout is not None or self.scaling is not None
 
 
-def decision_fields(
-    decision: object, cap: int
-) -> tuple[int, bool | None, float, float | None]:
-    """Normalize an allocator's decision into its four fields.
+def allocator_decision(
+    allocator: Allocator, workload: Workload, query_id: str, cap: int
+) -> tuple[int, bool | None, float, float | None, dict]:
+    """Decide one query's budget: the allocator step every fleet driver runs.
 
-    Returns ``(budget, cached, seconds, estimated_runtime_seconds)``
+    Calls ``allocator`` on the query's optimized plan and returns
+    ``(budget, cached, seconds, estimated_runtime_seconds, annotations)``
     with the budget clamped to ``[1, cap]``.  Plain-int allocators carry
-    no cache/overhead/runtime metadata.
+    no cache/overhead/runtime metadata.  The annotations are what every
+    :class:`QueryRecord` carries: ``policy`` is the allocator's
+    self-declared ``policy_name`` (``"static"``, ``"oracle"``,
+    ``"prediction"``, or ``"custom"`` for unnamed callables) and
+    ``predicted_executors`` is the decision *before* pool clamping — so
+    a budget the pool truncated is still visible next to
+    ``QueryRecord.executors_granted``.
     """
+    decision = allocator(query_id, workload.optimized_plan(query_id))
     if hasattr(decision, "executors"):
-        budget = int(decision.executors)
+        raw = int(decision.executors)
         cached = decision.cached
         seconds = float(decision.seconds)
         estimate = getattr(decision, "estimated_runtime_seconds", None)
     else:
-        budget, cached, seconds, estimate = int(decision), None, 0.0, None
-    return max(1, min(budget, cap)), cached, seconds, estimate
-
-
-def allocator_annotations(allocator: Allocator, decision: object) -> dict:
-    """The uniform record annotations every fleet driver attaches.
-
-    ``policy`` is the allocator's self-declared ``policy_name``
-    (``"static"``, ``"oracle"``, ``"prediction"``, or ``"custom"`` for
-    unnamed callables) and ``predicted_executors`` is the decision
-    *before* pool clamping — so a budget the pool truncated is still
-    visible next to ``QueryRecord.executors_granted``.
-    """
-    raw = decision.executors if hasattr(decision, "executors") else decision
-    return {
+        raw, cached, seconds, estimate = int(decision), None, 0.0, None
+    annotations = {
         "policy": getattr(allocator, "policy_name", "custom"),
-        "predicted_executors": int(raw),
+        "predicted_executors": raw,
     }
+    return max(1, min(raw, cap)), cached, seconds, estimate, annotations
 
 
 @dataclass
@@ -293,14 +293,13 @@ class PoolRuntime:
     """One pool's serving state machine, driven by an external event heap.
 
     The runtime owns everything that belongs to a single pool — the
-    capacity arbiter, the per-query :class:`_QueryRun` table, the
-    reserved-capacity skyline, and the finished-query records — while
-    the *driver* owns the heap, the clock, and the tick chain.  Event
-    handlers push follow-up events through the ``push`` callback the
-    driver supplies, so every event in a multi-pool cluster still lands
-    on one totally ordered heap; keeping each handler's push order
-    identical to the original single-pool engine is what makes a
-    sharded fleet of one pool bit-identical to :class:`FleetEngine`.
+    capacity arbiter, the table of live :class:`_QueryRun` states (each
+    freed at finish), the reserved-capacity skyline, and the
+    finished-query records — while the *driver* owns the heap, the
+    clock, and the tick chain.  Event handlers push follow-up events
+    through the ``push`` callback the driver supplies, so every event in
+    a multi-pool cluster still lands on one totally ordered heap, and
+    drivers hand pool events back through :meth:`dispatch`.
 
     Args:
         workload: supplies plans and compiled stage graphs per query id.
@@ -322,7 +321,7 @@ class PoolRuntime:
             :class:`~repro.engine.execution.ExecutionCore`, its
             execution events.  ``None`` is the zero-cost off switch.
         pool_index: identity stamped on emitted events (a sharded fleet
-            numbers its pools; a standalone engine is pool 0).
+            numbers its pools from 0).
     """
 
     def __init__(
@@ -360,8 +359,7 @@ class PoolRuntime:
         self._compiled = compiled
         self._ec = cluster.cores_per_executor
         # Streaming mode: finished queries fold into bounded accumulators
-        # (and optionally a JSONL spool) instead of self.records, and
-        # their _QueryRun state is freed eagerly.
+        # (and optionally a JSONL spool) instead of self.records.
         self.stats: PoolStreamStats | None = None
         self._spool = None
         streaming = config.streaming
@@ -560,11 +558,11 @@ class PoolRuntime:
             # Queued, not admitted.  The tick chain must run anyway: an
             # autoscaled pool may need a scale-up before it can admit
             # *anything* (a budget above its current capacity), and the
-            # autoscaler only acts on ticks.  A single-pool FleetEngine
-            # never reaches this branch before its first admission (its
-            # budgets are clamped to the pool's capacity, so the first
-            # submit on an empty pool always admits), which keeps the
-            # tick anchoring — and bit-for-bit parity — unchanged.
+            # autoscaler only acts on ticks.  A static pool never reaches
+            # this branch before its first admission (budgets are clamped
+            # to its capacity, so the first submit on an empty pool
+            # always admits), which keeps the tick chain anchored at the
+            # first admission.
             self.start_ticks(now)
 
     def drain_admissions(self, now: float) -> None:
@@ -640,34 +638,47 @@ class PoolRuntime:
         self.poll_scaling(now, q)
 
     # --- event handlers ---------------------------------------------------
-    def handle_driver_done(self, now: float, q: int) -> None:
-        run = self.runs[q]
-        run.core.mark_driver_done(now)
-        run.core.assign(now, run.emit)
-        self.poll_scaling(now, q)
+    def dispatch(self, now: float, kind: str, q: int, payload: Any) -> bool:
+        """Handle one of this pool's query events — the dispatch every
+        fleet driver shares.
 
-    def handle_exec_arrive(self, now: float, q: int) -> None:
-        run = self.runs[q]
-        run.outstanding -= 1
-        if run.finished:
-            # The query beat its own provisioning ramp; hand the late
-            # executor straight back to the pool.
-            self.arbiter.release(q, 1)
-            if self.tracer is not None:
-                self._trace(
-                    now,
-                    "grant_release",
-                    q,
-                    run.arrival.query_id,
-                    {"executors": 1, "reason": "late"},
-                )
-            self.record_pool(now)
-            self.drain_admissions(now)
-            if self.stats is not None and run.outstanding == 0:
-                # Streaming: the last straggling grant is back; the run
-                # held nothing but this countdown since it finished.
-                del self.runs[q]
-        else:
+        ``driver_done`` ends the query's driver prefix, ``exec_arrive``
+        adds a provisioned executor (or hands back one that arrived after
+        its query finished), ``task_done`` completes a task, and
+        ``exec_fail`` fires a drawn executor failure.  Every event that
+        leaves its query running ends the same way: assign pending
+        tasks, then poll the scaling policy.  Returns ``True`` when the
+        event finished its query.
+        """
+        if kind == "task_done":
+            run = self.runs[q]
+            stage_id, eid = payload
+            if run.core.complete_task(now, stage_id, eid):
+                self._finish_query(now, q)
+                self.drain_admissions(now)
+                return True
+        elif kind == "exec_arrive":
+            run = self.runs[q]
+            run.outstanding -= 1
+            if run.finished:
+                # The query beat its own provisioning ramp; hand the late
+                # executor straight back to the pool.
+                self.arbiter.release(q, 1)
+                if self.tracer is not None:
+                    self._trace(
+                        now,
+                        "grant_release",
+                        q,
+                        run.arrival.query_id,
+                        {"executors": 1, "reason": "late"},
+                    )
+                self.record_pool(now)
+                self.drain_admissions(now)
+                if run.outstanding == 0:
+                    # The last straggling grant is back; the run held
+                    # nothing but this countdown since it finished.
+                    del self.runs[q]
+                return False
             eid = run.core.add_executor(now)
             if run.injector is not None:
                 fail_at = run.injector.on_added(now, eid)
@@ -681,10 +692,20 @@ class PoolRuntime:
                             run.arrival.query_id,
                             {"eid": eid, "fail_at": float(fail_at)},
                         )
-            run.core.assign(now, run.emit)
-            self.poll_scaling(now, q)
+        elif kind == "driver_done":
+            run = self.runs[q]
+            run.core.mark_driver_done(now)
+        elif kind == "exec_fail":
+            if not self._fail_executor(now, q, payload):
+                return False
+            run = self.runs[q]
+        else:
+            raise ValueError(f"unknown pool event {kind!r}")
+        run.core.assign(now, run.emit)
+        self.poll_scaling(now, q)
+        return False
 
-    def handle_exec_fail(self, now: float, q: int, eid: int) -> None:
+    def _fail_executor(self, now: float, q: int, eid: int) -> bool:
         """A drawn executor failure fired: revoke, requeue, re-provision.
 
         The failure kills the executor's in-flight tasks (they re-enter
@@ -694,16 +715,16 @@ class PoolRuntime:
         arbiter reservation*: the admission grant survives the crash.
         Without replacement the slot returns to the pool, where queued
         admissions (and an autoscaler watching pressure signals) pick it
-        up.
+        up.  Returns ``False`` when the failure found nothing to kill.
         """
         run = self.runs.get(q)
         if run is None or run.finished:
             # The query outran its failure; its grant is already back in
-            # the pool (a streaming serve freed the run itself too).
-            return
+            # the pool (and the run itself is usually freed too).
+            return False
         outcome = run.core.fail_executor(now, eid)
         if outcome is None:
-            return  # idle-released before the failure fired
+            return False  # idle-released before the failure fired
         cause = run.injector.on_failed(now, eid, *outcome)
         if self.tracer is not None:
             self._trace(
@@ -734,20 +755,7 @@ class PoolRuntime:
                 )
             self.record_pool(now)
             self.drain_admissions(now)
-        run.core.assign(now, run.emit)
-        self.poll_scaling(now, q)
-
-    def handle_task_done(self, now: float, q: int, payload: tuple) -> bool:
-        """Returns ``True`` when this completion finished the query."""
-        run = self.runs[q]
-        stage_id, eid = payload
-        if run.core.complete_task(now, stage_id, eid):
-            self._finish_query(now, q)
-            self.drain_admissions(now)
-            return True
-        run.core.assign(now, run.emit)
-        self.poll_scaling(now, q)
-        return False
+        return True
 
     def _finish_query(self, now: float, q: int) -> None:
         run = self.runs[q]
@@ -798,15 +806,17 @@ class PoolRuntime:
             )
         if stats is None:
             self.records[q] = record
-            return
-        # Streaming: fold, optionally spool, and free the run — its
-        # skyline, core, and record all die here.  A run whose grant
-        # ramp is still in flight stays until the last exec_arrive
-        # hands the late executor back (handle_exec_arrive frees it).
-        stats.observe(record)
-        if self._spool is not None:
-            self._spool.write(record.to_json())
-            self._spool.write("\n")
+        else:
+            # Streaming: fold and optionally spool — the skyline, core,
+            # and record all die with the run.
+            stats.observe(record)
+            if self._spool is not None:
+                self._spool.write(record.to_json())
+                self._spool.write("\n")
+        # Free the run in both modes, so ticks and pool views walk only
+        # live queries.  A run whose grant ramp is still in flight stays
+        # until the last exec_arrive hands the late executor back
+        # (dispatch frees it on that exec_arrive).
         if run.outstanding == 0:
             del self.runs[q]
 
@@ -843,18 +853,10 @@ class PoolRuntime:
     def unfinished_queries(self) -> list[int]:
         return [q for q, run in self.runs.items() if not run.finished]
 
-    def finalize(
-        self, serving_window: tuple[float, float] | None = None
-    ) -> FleetMetrics:
+    def finalize(self) -> FleetMetrics:
         """Wrap this pool's outcome as :class:`FleetMetrics` (records in
-        stream order).
-
-        Args:
-            serving_window: the billing span to impose (a sharded fleet
-                passes the cluster-wide window so idle pools still pay
-                for their provisioned capacity); ``None`` bills this
-                pool's own records' span.
-        """
+        stream order; the driver imposes the cluster-wide serving
+        window, see :func:`repro.fleet.cluster.cluster_metrics`)."""
         if self._spool is not None:
             self._spool.close()
             self._spool = None
@@ -871,7 +873,6 @@ class PoolRuntime:
                 records=[],
                 pool_skyline=self.pool_skyline,
                 capacity_skyline=None,
-                serving_window=serving_window,
                 stats=stats,
             )
         capacity = (
@@ -885,12 +886,16 @@ class PoolRuntime:
             records=[self.records[q] for q in sorted(self.records)],
             pool_skyline=self.pool_skyline,
             capacity_skyline=self.capacity_skyline,
-            serving_window=serving_window,
         )
 
 
 class FleetEngine:
     """Serve an arrival stream through a shared executor pool.
+
+    A one-pool :class:`~repro.fleet.cluster.ShardedFleet`: the pool
+    runs under ``admission``, the default round-robin router places
+    every query on it, and :meth:`serve` returns that pool's
+    :class:`FleetMetrics`.  There is one serve loop, not two.
 
     Args:
         workload: supplies plans and compiled stage graphs per query id.
@@ -902,10 +907,11 @@ class FleetEngine:
         admission: queueing policy (default FIFO).
         config: fleet knobs.
         tracer: optional :class:`~repro.obs.trace.Tracer` receiving the
-            run's full event stream — serve/arrival/prediction events
-            from this driver, lifecycle events from the pool runtime,
-            execution events from every query's core.  ``None`` (the
-            default) serves bit-identically to an untraced engine.
+            run's full event stream — the sharded driver's
+            arrival/prediction/routing events (pool ``-1`` until routed),
+            lifecycle events from the pool runtime, execution events
+            from every query's core.  ``None`` (the default) serves
+            bit-identically to an untraced engine.
     """
 
     def __init__(
@@ -918,231 +924,34 @@ class FleetEngine:
         config: FleetConfig = FleetConfig(),
         tracer: Tracer | None = None,
     ) -> None:
-        self.workload = workload
-        self.capacity = int(capacity)
-        self.allocator = allocator
-        self.cluster = cluster
-        self.admission = admission
-        self.config = config
-        self.tracer = tracer
-        # Compile-once memo, keyed like the prediction service's
-        # plan-signature cache: the workload hands out one stage graph per
-        # query id, so the id keys its compiled form across runs.
-        self._compiled: dict[str, CompiledPlan] = {}
+        from repro.fleet.cluster import PoolSpec, ShardedFleet  # import cycle
+
+        # Built once, so its compile-once memo survives across serves.
+        self._fleet = ShardedFleet(
+            workload,
+            [PoolSpec(int(capacity), admission=admission)],
+            allocator,
+            cluster=cluster,
+            config=config,
+            tracer=tracer,
+        )
 
     def serve(self, arrivals: Iterable[QueryArrival]) -> FleetMetrics:
-        """Play out the whole stream; returns the fleet's metrics.
+        """Play out the whole stream; returns the pool's metrics.
 
         In streaming mode (:attr:`FleetConfig.streaming`) ``arrivals``
         may be any time-ordered iterable — a generator is consumed
         lazily, one arrival ahead of the clock, so the stream never
-        materializes.  Record mode keeps the eager list semantics (and
-        its duplicate-index validation) unchanged.
+        materializes.  Record mode takes any order and rejects
+        duplicate ``QueryArrival.index`` fields.
         """
-        # Queries are keyed internally by *stream position*, never by the
-        # user-supplied ``QueryArrival.index`` field — an earlier version
-        # mixed the two, silently mismatching allocator decisions with
-        # queries whenever index fields did not equal list positions.
-        config = self.config
-        streaming = config.streaming
-        ticking = False
-
-        counter = itertools.count()
-        # Heap entries are (time, class, seq, kind, q, payload): class 0
-        # is an arrival (seq = stream position), class 1 everything else
-        # (seq = push counter).  Same total order the single-counter
-        # scheme produced when all arrivals were pushed up front — same-
-        # instant ties break arrivals-first in stream order, then
-        # everything else in push order — but it also holds when
-        # arrivals enter the heap lazily, which is what lets streaming
-        # mode keep O(1) arrivals in flight without perturbing record
-        # mode by a single event.
-        events: list[tuple[float, int, int, str, int, object]] = []
-
-        def push(
-            time: float, kind: str, q: int = -1, payload: object = None
-        ) -> None:
-            heapq.heappush(events, (time, 1, next(counter), kind, q, payload))
-
-        def start_ticks(now: float) -> None:
-            # The tick chain is anchored at the first admission, matching
-            # the single-query scheduler's ticks at k·tick_interval from
-            # query submission.
-            nonlocal ticking
-            if config.wants_ticks and not ticking:
-                ticking = True
-                push(now + config.tick_interval, "tick")
-
-        runtime = PoolRuntime(
-            workload=self.workload,
-            capacity=self.capacity,
-            cluster=self.cluster,
-            admission=self.admission,
-            config=config,
-            push=push,
-            start_ticks=start_ticks,
-            compiled=self._compiled,
-            tracer=self.tracer,
-            pool_index=0,
-        )
-        tracer = self.tracer
-        decisions: dict[
-            int,
-            tuple[QueryArrival, int, bool | None, float, float | None, dict],
-        ] = {}
-        total = 0
-        finished = 0
-        exhausted = True
-        now = 0.0
-
-        if streaming is None:
-            stream = validate_stream(arrivals)
-            total = len(stream)
-            for pos, arrival in enumerate(stream):
-                heapq.heappush(
-                    events, (arrival.arrival_time, 0, pos, "arrive", pos, arrival)
-                )
-        else:
-            arrival_iter = iter(arrivals)
-            last_arrival_t = 0.0
-
-            def pull_arrival() -> None:
-                # Keep exactly one unprocessed arrival in the heap; the
-                # next is pulled when this one's arrive event fires.
-                nonlocal total, exhausted, last_arrival_t
-                for arrival in arrival_iter:
-                    t = arrival.arrival_time
-                    if t < last_arrival_t:
-                        raise ValueError(
-                            "streaming arrival streams must be time-ordered"
-                        )
-                    last_arrival_t = t
-                    heapq.heappush(events, (t, 0, total, "arrive", total, arrival))
-                    total += 1
-                    return
-                exhausted = True
-
-            exhausted = False
-            pull_arrival()
-            if total == 0:
-                raise ValueError("cannot serve an empty arrival stream")
-
-        if tracer is not None:
-            tracer.emit(
-                TraceEvent(
-                    0.0, "serve_begin", -1, -1, None, {"pools": [self.capacity]}
-                )
-            )
-
-        # --- main loop ---------------------------------------------------
-        while events:
-            now, _, _, kind, q, payload = heapq.heappop(events)
-            if kind == "arrive":
-                arrival = payload
-                plan = self.workload.optimized_plan(arrival.query_id)
-                decision = self.allocator(arrival.query_id, plan)
-                budget, cached, seconds, estimate = decision_fields(
-                    decision, self.capacity
-                )
-                notes = allocator_annotations(self.allocator, decision)
-                decisions[q] = (arrival, budget, cached, seconds, estimate, notes)
-                if tracer is not None:
-                    tracer.emit(
-                        TraceEvent(now, "query_arrive", 0, q, arrival.query_id)
-                    )
-                    tracer.emit(
-                        TraceEvent(
-                            now,
-                            "query_predict",
-                            0,
-                            q,
-                            arrival.query_id,
-                            {
-                                "executors": notes["predicted_executors"],
-                                "cached": cached,
-                                "seconds": seconds,
-                                "estimated_runtime_s": estimate,
-                                "policy": notes["policy"],
-                            },
-                        )
-                    )
-                delay = seconds if config.charge_prediction_overhead else 0.0
-                push(now + delay, "submit", q)
-                if not exhausted:
-                    pull_arrival()
-            elif kind == "submit":
-                arrival, budget, cached, seconds, estimate, notes = decisions.pop(q)
-                runtime.submit(
-                    now, q, arrival, budget, cached, seconds, notes, estimate
-                )
-            elif kind == "driver_done":
-                runtime.handle_driver_done(now, q)
-            elif kind == "exec_arrive":
-                runtime.handle_exec_arrive(now, q)
-            elif kind == "task_done":
-                if runtime.handle_task_done(now, q, payload):
-                    finished += 1
-            elif kind == "exec_fail":
-                runtime.handle_exec_fail(now, q, payload)
-            elif kind == "tick":
-                runtime.on_tick(now)
-                if finished < total or not exhausted:
-                    if not events:
-                        # Stall guard: the tick chain is the only thing
-                        # left, so no run will ever release or acquire
-                        # capacity again.  Without this check the ticks
-                        # would spin forever.  (Unreachable while the
-                        # arrival stream is live: its next arrive event
-                        # is in the heap.)
-                        _raise_stalled(runtime.arbiter, total - finished)
-                    push(now + config.tick_interval, "tick")
-
-        if finished < total:
-            unfinished = total - finished
-            if runtime.arbiter.queue_length > 0:
-                _raise_stalled(runtime.arbiter, unfinished)
-            raise RuntimeError(
-                f"fleet run ended with {unfinished} unfinished queries "
-                f"(running: {runtime.unfinished_queries()}, "
-                f"queued: {runtime.arbiter.queue_length})"
-            )
-
-        if tracer is not None:
-            tracer.emit(
-                TraceEvent(now, "serve_end", -1, -1, None, {"queries": total})
-            )
-        metrics = runtime.finalize()
-        feedback = config.feedback
-        if feedback is not None:
-            # A sink that keeps ledger state (AdaptiveController) hands
-            # its end-of-run snapshot to the metrics; plain sinks without
-            # one leave the field None.
-            snapshot = getattr(feedback, "stats_snapshot", None)
-            if callable(snapshot):
-                metrics.adaptive = snapshot()
-        return metrics
-
-
-def validate_stream(arrivals: Sequence[QueryArrival]) -> list[QueryArrival]:
-    """The shared arrival-stream checks all fleet drivers apply."""
-    stream = list(arrivals)
-    if not stream:
-        raise ValueError("cannot serve an empty arrival stream")
-    if len({a.index for a in stream}) != len(stream):
-        raise ValueError("arrival stream has duplicate indices")
-    return stream
-
-
-def _raise_stalled(arbiter: CapacityArbiter, unfinished: int) -> None:
-    if arbiter.queue_length > 0:
-        raise RuntimeError(
-            f"admission stalled: {arbiter.queue_length} queued requests, "
-            "an idle pool, and a policy that admits none of them"
-        )
-    raise RuntimeError(
-        f"fleet stalled: {unfinished} admitted queries hold no executors, "
-        "have no grants in flight, and their scaling policies acquire none"
-    )
+        metrics = self._fleet.serve(arrivals)
+        pool = metrics.pools[0]
+        # A sink that keeps ledger state (AdaptiveController) hands its
+        # end-of-run snapshot to the cluster; with one pool it is this
+        # pool's ledger.
+        pool.adaptive = metrics.adaptive
+        return pool
 
 
 def static_allocator(n: int) -> Allocator:

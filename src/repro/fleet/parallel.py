@@ -23,7 +23,14 @@ key; the tick chain is re-anchored at the cluster-wide first admission
 time and advanced by the identical repeated float addition (ticks
 skipped while a pool is empty are no-ops there).  Per-pool metric folds
 run in the pool's own finish order, which is what the single-process
-driver uses too.
+driver uses too.  Everything but that watermarked replay loop is shared
+with the single-process driver: the allocator step
+(:func:`~repro.fleet.engine.allocator_decision`), the router's static
+views and pick check, each pool event's handling
+(:meth:`PoolRuntime.dispatch <repro.fleet.engine.PoolRuntime.dispatch>`,
+which frees a query's run state at finish in both serve modes), and the
+roll-up into :class:`~repro.fleet.metrics.ClusterMetrics`
+(:func:`~repro.fleet.cluster.cluster_metrics`).
 
 **Restrictions** (checked at construction / serve time):
 
@@ -61,22 +68,17 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.engine.cluster import Cluster
 from repro.fleet.arrivals import QueryArrival
-from repro.fleet.cluster import PoolSpec
-from repro.fleet.engine import (
-    Allocator,
-    FleetConfig,
-    PoolRuntime,
+from repro.fleet.cluster import (
+    PoolSpec,
     _raise_stalled,
-    allocator_annotations,
-    decision_fields,
+    cluster_metrics,
+    pool_specs,
+    route,
+    static_views,
 )
+from repro.fleet.engine import Allocator, FleetConfig, PoolRuntime, allocator_decision
 from repro.fleet.metrics import ClusterMetrics, FleetMetrics
-from repro.fleet.routing import (
-    PoolView,
-    Router,
-    RoundRobinRouter,
-    RoutingRequest,
-)
+from repro.fleet.routing import Router, RoundRobinRouter, RoutingRequest
 from repro.workloads.generator import Workload
 
 if TYPE_CHECKING:  # multiprocessing.Queue is a factory method, not a type
@@ -85,29 +87,6 @@ if TYPE_CHECKING:  # multiprocessing.Queue is a factory method, not a type
 __all__ = ["ProcessShardExecutor"]
 
 _INF = float("inf")
-
-
-def _static_views(specs: Sequence[PoolSpec]) -> list[PoolView]:
-    """Placeholder snapshots for state-blind routers.
-
-    A ``uses_pool_state = False`` router may read only the static shape
-    fields (``index``, ``capacity``, ``max_capacity``) and the pool
-    count; the dynamic fields are frozen at their idle values.
-    """
-    return [
-        PoolView(
-            index=i,
-            capacity=spec.capacity,
-            max_capacity=spec.capacity,
-            free=spec.capacity,
-            in_use=0,
-            queue_length=0,
-            queued_executors=0,
-            queued_work_seconds=0.0,
-            active_queries=0,
-        )
-        for i, spec in enumerate(specs)
-    ]
 
 
 def _drive_shard(
@@ -199,21 +178,12 @@ def _drive_shard(
             runtime.submit(now, q, arrival, budget, cached, seconds, notes)
             continue
         now, _, _, kind, q, payload = heapq.heappop(events)
-        if kind == "driver_done":
-            runtime.handle_driver_done(now, q)
-        elif kind == "exec_arrive":
-            runtime.handle_exec_arrive(now, q)
-        elif kind == "task_done":
-            if runtime.handle_task_done(now, q, payload):
-                finished += 1
-        elif kind == "exec_fail":
-            runtime.handle_exec_fail(now, q, payload)
-        elif kind == "tick":
+        if kind == "tick":
             runtime.on_tick(now)
             last_tick = now
             if finished < submitted or pending or not end:
                 if end and finished < submitted and not events and not pending:
-                    _raise_stalled(runtime.arbiter, submitted - finished)
+                    _raise_stalled([runtime], submitted - finished)
                 heapq.heappush(
                     events,
                     (now + config.tick_interval, 1, next(counter), "tick", -1, None),
@@ -222,16 +192,11 @@ def _drive_shard(
                 # Park the chain; a later admission resumes it from
                 # last_tick with the same repeated additions.
                 ticking = False
+        elif runtime.dispatch(now, kind, q, payload):
+            finished += 1
 
     if finished < submitted:
-        unfinished = submitted - finished
-        if runtime.arbiter.queue_length > 0:
-            _raise_stalled(runtime.arbiter, unfinished)
-        raise RuntimeError(
-            f"shard {pool_index} ended with {unfinished} unfinished queries "
-            f"(running: {runtime.unfinished_queries()}, "
-            f"queued: {runtime.arbiter.queue_length})"
-        )
+        _raise_stalled([runtime], submitted - finished)
     return runtime.finalize()
 
 
@@ -285,12 +250,7 @@ class ProcessShardExecutor:
         config: FleetConfig = FleetConfig(),
         batch_size: int = 512,
     ) -> None:
-        specs = [
-            spec if isinstance(spec, PoolSpec) else PoolSpec(capacity=int(spec))
-            for spec in pools
-        ]
-        if not specs:
-            raise ValueError("a sharded fleet needs at least one pool")
+        specs = pool_specs(pools)
         for i, spec in enumerate(specs):
             if spec.autoscaler is not None:
                 raise ValueError(
@@ -362,7 +322,7 @@ class ProcessShardExecutor:
         for w in workers:
             w.start()
         try:
-            pool_of, placed_qs, total = self._dispatch(arrivals, feeds)
+            placed = self._dispatch(arrivals, feeds)
             metrics_by_pool: list[FleetMetrics | None] = [None] * n
             for _ in range(n):
                 i, metrics, error = results.get()
@@ -375,7 +335,7 @@ class ProcessShardExecutor:
             for w in workers:
                 if w.is_alive():  # a parent-side error: don't leak workers
                     w.terminate()
-        return self._assemble(metrics_by_pool, pool_of, placed_qs, total)
+        return cluster_metrics(metrics_by_pool, placed)
 
     # -- parent side ---------------------------------------------------
 
@@ -383,11 +343,14 @@ class ProcessShardExecutor:
         self,
         arrivals: Iterable[QueryArrival],
         feeds: Sequence[MpQueue[tuple[object, ...]]],
-    ) -> tuple[dict[int, int], list[list[int]], int]:
-        """Decide, route, and stream every submit to its pool's feed."""
+    ) -> list[int]:
+        """Decide, route, and stream every submit to its pool's feed.
+
+        Returns the pool each stream position was placed on (record
+        mode; empty when streaming)."""
         config = self.config
         record_mode = config.streaming is None
-        views = _static_views(self.pools)
+        views = static_views(self.pools)
         estimates: dict[int, float | None] = {}
         # Submits replayed in global submit order: keyed by
         # (t_submit, stream position), exactly the shared heap's order
@@ -395,7 +358,6 @@ class ProcessShardExecutor:
         reorder: list[tuple] = []
         batches: list[list[tuple]] = [[] for _ in feeds]
         pool_of: dict[int, int] = {}
-        placed_qs: list[list[int]] = [[] for _ in feeds]
         anchor_sent = False
 
         def flush(limit: float) -> None:
@@ -409,7 +371,8 @@ class ProcessShardExecutor:
                     for feed in feeds:
                         feed.put(("anchor", t))
                     anchor_sent = True
-                chosen = self.router.pick(
+                chosen = route(
+                    self.router,
                     RoutingRequest(
                         query_id=arrival.query_id,
                         app_id=arrival.app_id,
@@ -419,14 +382,8 @@ class ProcessShardExecutor:
                     ),
                     views,
                 )
-                if not 0 <= chosen < self.n_pools:
-                    raise ValueError(
-                        f"router {self.router.name!r} picked pool {chosen} "
-                        f"out of {self.n_pools}"
-                    )
                 if record_mode:
                     pool_of[pos] = chosen
-                    placed_qs[chosen].append(pos)
                 batches[chosen].append(entry)
 
         def send(watermark: float) -> None:
@@ -446,12 +403,9 @@ class ProcessShardExecutor:
             flush(t_arrive)
             if pos and pos % self.batch_size == 0:
                 send(t_arrive)
-            plan = self.workload.optimized_plan(arrival.query_id)
-            decision = self.allocator(arrival.query_id, plan)
-            budget, cached, seconds, estimate = decision_fields(
-                decision, self.max_budget
+            budget, cached, seconds, estimate, notes = allocator_decision(
+                self.allocator, self.workload, arrival.query_id, self.max_budget
             )
-            notes = allocator_annotations(self.allocator, decision)
             estimates[pos] = estimate
             delay = seconds if config.charge_prediction_overhead else 0.0
             heapq.heappush(
@@ -465,45 +419,4 @@ class ProcessShardExecutor:
         for i, feed in enumerate(feeds):
             feed.put(("end", batches[i]))
             batches[i] = []
-        return pool_of, placed_qs, pos
-
-    def _assemble(
-        self,
-        metrics_by_pool: list[FleetMetrics],
-        pool_of: dict[int, int],
-        placed_qs: list[list[int]],
-        total: int,
-    ) -> ClusterMetrics:
-        if self.config.streaming is None:
-            by_q: dict[int, object] = {}
-            for i, metrics in enumerate(metrics_by_pool):
-                # finalize() emits records sorted by stream position.
-                for q, record in zip(sorted(placed_qs[i]), metrics.records):
-                    by_q[q] = record
-            records = [by_q[q] for q in range(total)]
-            placed = [pool_of[q] for q in range(total)]
-            window = (
-                min(r.arrival_time for r in records),
-                max(r.finish_time for r in records),
-            )
-        else:
-            records = []
-            placed = []
-            starts = [
-                m.stats.first_arrival
-                for m in metrics_by_pool
-                if m.stats is not None and m.stats.first_arrival is not None
-            ]
-            ends = [
-                m.stats.last_finish
-                for m in metrics_by_pool
-                if m.stats is not None and m.stats.last_finish is not None
-            ]
-            window = (min(starts), max(ends))
-        # Same cluster-wide billing window the single-process driver
-        # imposes; FleetMetrics derives everything lazily, so setting it
-        # before first property access is equivalent to passing it into
-        # finalize().
-        for metrics in metrics_by_pool:
-            metrics.serving_window = window
-        return ClusterMetrics(pools=metrics_by_pool, records=records, pool_of=placed)
+        return [pool_of[q] for q in range(pos)] if record_mode else []

@@ -377,5 +377,5 @@ class PredictionService:
         return self._serve(entry[1], start)
 
     # Bound methods proxy attribute reads to the function, so the fleet
-    # drivers' ``allocator_annotations`` sees this on ``service.allocate``.
+    # drivers' ``allocator_decision`` sees this on ``service.allocate``.
     allocate.policy_name = "prediction"

@@ -21,6 +21,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 __all__ = [
     "MAX_HEADER_BYTES",
@@ -91,14 +92,25 @@ class HttpRequest:
     def json(self) -> object:
         """Decode the body as UTF-8 JSON.
 
+        The non-standard ``NaN``, ``Infinity`` and ``-Infinity`` tokens
+        Python's decoder would otherwise accept are rejected.
+
         Raises:
             ProtocolError: with status 400 on undecodable or invalid
                 JSON — malformed payloads are the *client's* error.
         """
         try:
-            return json.loads(self.body.decode("utf-8"))
+            return _DECODER.decode(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(400, f"invalid JSON body: {exc}") from None
+
+
+def _reject_constant(token: str) -> NoReturn:
+    raise ProtocolError(400, f"invalid JSON body: non-finite constant {token}")
+
+
+# Built once: ``json.loads`` with any keyword builds a decoder per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 @dataclass(frozen=True)

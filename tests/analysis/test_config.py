@@ -1,15 +1,8 @@
-"""Spec for config loading: defaults, extension semantics, TOML subset."""
-
-import textwrap
+"""Spec for config loading: defaults, extension semantics, pyproject."""
 
 import pytest
 
-from repro.analysis.config import (
-    AnalysisConfig,
-    load_config,
-    module_matches,
-    parse_toml_subset,
-)
+from repro.analysis.config import AnalysisConfig, load_config, module_matches
 
 
 class TestModuleMatches:
@@ -51,38 +44,6 @@ class TestFromMapping:
     def test_non_string_values_are_rejected(self):
         with pytest.raises(ValueError, match="list of strings"):
             AnalysisConfig.from_mapping({"rng-modules": [1, 2]})
-
-
-class TestTomlSubset:
-    def test_tables_scalars_and_lists(self):
-        text = textwrap.dedent(
-            """
-            # a comment
-            [tool.repro-analysis]
-            taxonomy_module = "src/repro/obs/trace.py"   # trailing comment
-            emit-helpers = ["_trace", '_emit']
-            flag = true
-            count = 3
-
-            [tool.other]
-            noise = "ignored # not a comment inside quotes"
-            """
-        )
-        tables = parse_toml_subset(text)
-        section = tables["tool.repro-analysis"]
-        assert section["taxonomy_module"] == "src/repro/obs/trace.py"
-        assert section["emit-helpers"] == ["_trace", "_emit"]
-        assert section["flag"] is True
-        assert section["count"] == 3
-        assert tables["tool.other"]["noise"].endswith("inside quotes")
-
-    def test_multiline_lists(self):
-        text = '[t]\nmods = [\n  "a.b",\n  "c.d",\n]\n'
-        assert parse_toml_subset(text)["t"]["mods"] == ["a.b", "c.d"]
-
-    def test_unsupported_lines_raise(self):
-        with pytest.raises(ValueError, match="unsupported TOML"):
-            parse_toml_subset("[t]\nx = { inline = 'table' }\n")
 
 
 class TestLoadConfig:

@@ -14,7 +14,7 @@ from repro.fleet import (
     PoolSpec,
     PredictionService,
     ShardedFleet,
-    allocator_annotations,
+    allocator_decision,
     poisson_arrivals,
     static_allocator,
 )
@@ -88,9 +88,15 @@ def test_annotations_match_traced_policy(workload_small, arrivals):
         )
 
 
-def test_allocator_annotations_helper():
-    assert allocator_annotations(static_allocator(4), 4) == {
-        "policy": "static",
-        "predicted_executors": 4,
-    }
-    assert allocator_annotations(lambda query_id, plan: 2, 2)["policy"] == "custom"
+def test_allocator_decision_helper(workload_small):
+    query_id = workload_small.query_ids[0]
+    budget, cached, seconds, estimate, notes = allocator_decision(
+        static_allocator(64), workload_small, query_id, cap=16
+    )
+    assert (budget, cached, seconds, estimate) == (16, None, 0.0, None)
+    assert notes == {"policy": "static", "predicted_executors": 64}
+    custom = allocator_decision(
+        lambda query_id, plan: 2, workload_small, query_id, cap=16
+    )
+    assert custom[0] == 2
+    assert custom[4]["policy"] == "custom"

@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.fleet.arrivals import poisson_arrivals, trace_arrivals
+from repro.fleet.arrivals import QueryArrival, poisson_arrivals, trace_arrivals
 from repro.workloads.production import generate_production_trace
 
 QIDS = ("q1", "q2", "q3", "q94")
+
+
+@pytest.mark.parametrize(
+    "arrival_time", [-1.0, float("nan"), float("inf"), float("-inf")]
+)
+def test_rejects_negative_and_non_finite_times(arrival_time):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        QueryArrival(0, "q1", 0, arrival_time)
 
 
 class TestPoissonArrivals:

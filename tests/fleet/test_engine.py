@@ -3,16 +3,21 @@ semantics, metrics plumbing."""
 
 import pytest
 
+from repro.engine.faults import FaultPlan
 from repro.fleet import (
+    AutoscalerConfig,
     FairShareAdmission,
     FleetConfig,
     FleetEngine,
+    PoolSpec,
     Prediction,
     QueryArrival,
+    ShardedFleet,
     poisson_arrivals,
     static_allocator,
     trace_arrivals,
 )
+from repro.fleet.engine import PoolRuntime
 from repro.workloads.generator import Workload
 from repro.workloads.production import generate_production_trace
 
@@ -284,3 +289,54 @@ class TestStallGuard:
                 allocator=static_allocator(4),
                 admission=RejectAll(),
             ).serve(arrivals)
+
+
+class TestRunStateFreedAtFinish:
+    """Per-query run state dies at finish in both serve modes.
+
+    A run kept past its finish makes every tick walk every query ever
+    served: O(queries x ticks) serve cost in record mode.  The spy sees
+    each pool's run table at ``finalize``, after the last event.
+    """
+
+    # Crashes frequent enough that some fire after their query finished
+    # (the exec_fail-after-finish path), with failed slots re-provisioned.
+    CRASHES = FaultPlan(seed=3, crash_rate=1.0 / 60.0)
+
+    @pytest.fixture
+    def runs_at_finalize(self, monkeypatch):
+        seen = []
+        finalize = PoolRuntime.finalize
+
+        def spy(runtime, *args, **kwargs):
+            seen.append(len(runtime.runs))
+            return finalize(runtime, *args, **kwargs)
+
+        monkeypatch.setattr(PoolRuntime, "finalize", spy)
+        return seen
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    @pytest.mark.parametrize("faults", [None, CRASHES], ids=["clean", "crashes"])
+    def test_fleet_engine(self, workload, runs_at_finalize, streaming, faults):
+        arrivals = poisson_arrivals(QIDS, n_queries=20, rate_qps=1.0, seed=1)
+        metrics = FleetEngine(
+            workload,
+            capacity=16,
+            allocator=static_allocator(8),
+            config=FleetConfig(streaming=streaming, faults=faults),
+        ).serve(arrivals)
+        assert metrics.n_queries == 20
+        assert runs_at_finalize == [0]
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_autoscaled_sharded_fleet(self, workload, runs_at_finalize, streaming):
+        scaler = AutoscalerConfig(min_capacity=4, max_capacity=16)
+        arrivals = poisson_arrivals(QIDS, n_queries=20, rate_qps=1.0, seed=1)
+        metrics = ShardedFleet(
+            workload,
+            [PoolSpec(8, autoscaler=scaler), PoolSpec(4, autoscaler=scaler)],
+            static_allocator(8),
+            config=FleetConfig(streaming=streaming, faults=self.CRASHES),
+        ).serve(arrivals)
+        assert metrics.n_queries == 20
+        assert runs_at_finalize == [0, 0]

@@ -188,10 +188,11 @@ class TestInProcessDrive:
     def _drive(self, executor, arrivals):
         import queue
 
+        from repro.fleet.cluster import cluster_metrics
         from repro.fleet.parallel import _drive_shard
 
         feeds = [queue.Queue() for _ in range(executor.n_pools)]
-        pool_of, placed_qs, total = executor._dispatch(arrivals, feeds)
+        placed = executor._dispatch(arrivals, feeds)
         metrics_by_pool = [
             _drive_shard(
                 feeds[i],
@@ -203,7 +204,7 @@ class TestInProcessDrive:
             )
             for i in range(executor.n_pools)
         ]
-        return executor._assemble(metrics_by_pool, pool_of, placed_qs, total)
+        return cluster_metrics(metrics_by_pool, placed)
 
     def test_record_mode(self, workload):
         arrivals = poisson_arrivals(QIDS, n_queries=80, rate_qps=1.5, seed=17)

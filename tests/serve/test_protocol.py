@@ -132,6 +132,17 @@ class TestBodyJson:
             request.json()
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize(
+        "body",
+        [b"[NaN]", b'{"a": Infinity}', b'{"a": -Infinity}', b'{"a": [1, NaN]}'],
+    )
+    def test_non_finite_constants_are_400(self, body):
+        request = HttpRequest("POST", "/", body=body)
+        with pytest.raises(ProtocolError) as excinfo:
+            request.json()
+        assert excinfo.value.status == 400
+        assert "non-finite" in excinfo.value.detail
+
     def test_invalid_utf8_is_400(self):
         request = HttpRequest("POST", "/", body=b"\xff\xfe")
         with pytest.raises(ProtocolError) as excinfo:

@@ -213,6 +213,27 @@ class TestValidation:
 
         assert asyncio.run(run()) == 400
 
+    @pytest.mark.parametrize(
+        "token", [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"1" + b"0" * 400]
+    )
+    def test_non_finite_features_400(self, stub_scorer, token):
+        body = (
+            b'{"features": ['
+            + b"1.0, " * (len(FEATURE_NAMES) - 1)
+            + token
+            + b"]}"
+        )
+
+        async def run():
+            async with serve_stack(stub_scorer) as (_, _, host, port):
+                async with ServeClient(host, port) as client:
+                    reply = await client.request("POST", "/v1/recommend", body=body)
+                    return reply.status, reply.json()
+
+        status, reply = asyncio.run(run())
+        assert status == 400
+        assert "finite" in reply["error"]
+
     def test_oversized_body_413_closes_connection(self, stub_scorer):
         async def run():
             config = ServerConfig(port=0, max_body_bytes=256)
