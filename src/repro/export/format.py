@@ -11,7 +11,9 @@ A portable model is a JSON document:
         {"feature": [...], "threshold": [...],
          "left": [...], "right": [...], "value": [[...], ...]},
         ...
-      ],
+      ],                            # node 0 is the root; a leaf has
+                                    # feature -1, any other node children
+                                    # with higher ids than its own
       "coef": [[...]], "intercept": [...]   # for linear models
     }
 
@@ -38,7 +40,7 @@ FORMAT_VERSION = 1
 
 
 def _export_tree(tree: DecisionTreeRegressor) -> dict:
-    features, thresholds, left, right, values = tree._compile()
+    features, thresholds, left, right, values = tree.node_arrays()
     return {
         "feature": features.tolist(),
         "threshold": [
@@ -140,9 +142,23 @@ def validate_document(document: dict) -> None:
             raise ValueError("forest document has no trees")
         for tree in trees:
             n = len(tree["feature"])
+            if not n:
+                raise ValueError("forest document has a tree with no nodes")
             for key in ("threshold", "left", "right", "value"):
                 if len(tree[key]) != n:
                     raise ValueError(f"tree arrays disagree on length ({key})")
+            # Children above their parent's id make every path finite;
+            # one parent per child keeps the number of paths linear.
+            feature = np.asarray(tree["feature"], dtype=int)
+            inner = np.flatnonzero(feature >= 0)
+            children = np.asarray([tree["left"], tree["right"]], dtype=int)[:, inner]
+            if (
+                np.any(feature[inner] >= document.get("n_features", 0))
+                or np.any(children <= inner)
+                or np.any(children >= n)
+                or np.any(np.bincount(children.ravel()) > 1)
+            ):
+                raise ValueError("tree split feature or child link is invalid")
     elif kind == "linear":
         if "coef" not in document or "intercept" not in document:
             raise ValueError("linear document missing coefficients")

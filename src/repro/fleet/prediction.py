@@ -7,7 +7,9 @@ predictions through a service that behaves like the deployed one:
 - a **plan-signature memo cache**: recurring queries — the common case in
   the paper's telemetry, where most applications resubmit near-identical
   queries (Figure 2b's low plan variability) — hit the cache and skip
-  model inference entirely;
+  model inference entirely.  The cache is a bounded LRU: its keys are
+  client-supplied feature vectors on the HTTP path, so an unbounded one
+  would let any client grow the server's memory without limit;
 - **measured overhead**: every prediction reports the wall-clock seconds
   it cost, and the fleet engine charges that latency to the query instead
   of assuming selection is free;
@@ -24,8 +26,10 @@ from :mod:`repro.export`.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
+from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,6 +47,39 @@ __all__ = ["PPMScorer", "Prediction", "PredictionService"]
 
 #: Selection objective signature (same as AutoExecutor's).
 _Objective = Callable[[np.ndarray, np.ndarray], int]
+
+#: Bound on the signature-keyed decision cache.  An evicted signature
+#: only costs one more inference on its next request — never a wrong
+#: answer.
+_DECISION_CACHE_SIZE = 4096
+
+_K = TypeVar("_K", bound=Hashable)
+_V = TypeVar("_V")
+
+
+class _LRU(OrderedDict[_K, _V]):
+    """An ordered dict bounded to ``maxsize`` entries, least recently used out.
+
+    :meth:`lookup` (on a hit) and :meth:`put` make the key the most
+    recently used; a :meth:`put` past the bound evicts the least recently
+    used key.  Iteration runs from least to most recently used.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+
+    def lookup(self, key: _K) -> _V | None:
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def put(self, key: _K, value: _V) -> None:
+        self[key] = value
+        self.move_to_end(key)
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
 
 
 class PPMScorer(Protocol):
@@ -119,23 +156,25 @@ class PredictionService:
         self.min_executors = int(min_executors)
         self.max_executors = int(max_executors)
         self.tracer = tracer
-        self.features_memo_size = int(features_memo_size)
         #: Model generation: bumped by :meth:`invalidate` (and so by
         #: :meth:`swap_scorer`).  Every memo-cache entry is tagged with
         #: the generation that produced it, so a decision can never be
         #: served from a model that is no longer behind the service.
         self.generation = 0
         # signature -> (generation, chosen count, predicted runtime)
-        self._cache: dict[tuple[float, ...], tuple[int, int, float]] = {}
+        self._cache: _LRU[tuple[float, ...], tuple[int, int, float]] = _LRU(
+            _DECISION_CACHE_SIZE
+        )
         # Featurization memo for the fleet path, keyed like the engine's
         # compiled-plan memo: one optimized plan per query id, so the id
         # keys its feature vector and recurring arrivals skip the plan
         # walk.  The plan object rides along as an identity guard — if a
-        # query id ever maps to a new plan, it is re-featurized.  The
-        # dict is used as an LRU (insertion order = recency; hits
-        # reinsert) and bounded by ``features_memo_size``; it survives
-        # :meth:`invalidate` because features are model-independent.
-        self._features_by_query: dict[str, tuple[object, QueryFeatures]] = {}
+        # query id ever maps to a new plan, it is re-featurized.  It
+        # survives :meth:`invalidate` because features are
+        # model-independent.
+        self._features_by_query: _LRU[str, tuple[object, QueryFeatures]] = _LRU(
+            int(features_memo_size)
+        )
         self.hits = 0
         self.misses = 0
         self.total_seconds = 0.0
@@ -256,7 +295,7 @@ class PredictionService:
     def _serve(self, features: QueryFeatures, start: float) -> Prediction:
         """Cache lookup + (on miss) inference, timed from ``start``."""
         key = self.signature(features)
-        entry = self._cache.get(key)
+        entry = self._cache.lookup(key)
         cached = entry is not None and entry[0] == self.generation
         if cached and entry is not None:
             self.hits += 1
@@ -264,7 +303,7 @@ class PredictionService:
         else:
             self.misses += 1
             chosen, runtime = self._select(self.scorer.predict_ppm(features))
-            self._cache[key] = (self.generation, chosen, runtime)
+            self._cache.put(key, (self.generation, chosen, runtime))
         elapsed = time.perf_counter() - start
         self.total_seconds += elapsed
         if self.tracer is not None:
@@ -303,14 +342,19 @@ class PredictionService:
         featurized = [self._featurize(p) for p in plans]
         keys = [self.signature(f) for f in featurized]
 
-        miss_order: list[int] = []
-        seen: set[tuple[float, ...]] = set()
+        # The batch's decisions are read back from here, not from the
+        # bounded cache, which a batch wider than its bound would evict.
+        decisions: dict[tuple[float, ...], tuple[int, float]] = {}
+        first_miss: dict[tuple[float, ...], int] = {}
         for i, key in enumerate(keys):
-            entry = self._cache.get(key)
-            live = entry is not None and entry[0] == self.generation
-            if not live and key not in seen:
-                miss_order.append(i)
-                seen.add(key)
+            if key in decisions or key in first_miss:
+                continue
+            entry = self._cache.lookup(key)
+            if entry is not None and entry[0] == self.generation:
+                decisions[key] = (entry[1], entry[2])
+            else:
+                first_miss[key] = i
+        miss_order = list(first_miss.values())
 
         if miss_order:
             batch_scorer = getattr(self.scorer, "predict_ppm_batch", None)
@@ -326,11 +370,13 @@ class PredictionService:
                     for i in miss_order
                 ]
             for i, ppm in zip(miss_order, ppms):
-                self._cache[keys[i]] = (self.generation, *self._select(ppm))
+                chosen, runtime = self._select(ppm)
+                decisions[keys[i]] = (chosen, runtime)
+                self._cache.put(keys[i], (self.generation, chosen, runtime))
 
         elapsed = time.perf_counter() - start
         per_miss = elapsed / len(miss_order) if miss_order else 0.0
-        missed = {keys[i] for i in miss_order}
+        missed = set(first_miss)
         out: list[Prediction] = []
         for key in keys:
             cached = key not in missed
@@ -339,7 +385,7 @@ class PredictionService:
             else:
                 self.misses += 1
                 missed.discard(key)  # later repeats in the batch are hits
-            _, chosen, runtime = self._cache[key]
+            chosen, runtime = decisions[key]
             out.append(
                 Prediction(
                     executors=chosen,
@@ -367,13 +413,10 @@ class PredictionService:
         in cost — the evicted query re-featurizes on its next arrival.
         """
         start = time.perf_counter()
-        memo = self._features_by_query
-        entry = memo.pop(query_id, None)
+        entry = self._features_by_query.lookup(query_id)
         if entry is None or entry[0] is not plan:
             entry = (plan, self._featurize(plan))
-        memo[query_id] = entry  # reinsert = most recently used
-        while len(memo) > self.features_memo_size:
-            memo.pop(next(iter(memo)))
+            self._features_by_query.put(query_id, entry)
         return self._serve(entry[1], start)
 
     # Bound methods proxy attribute reads to the function, so the fleet

@@ -10,6 +10,9 @@ numpy-backed implementation of the pieces the paper uses:
   multi-output support (the PPM has 2–3 scalar targets per query).
 - :class:`~repro.ml.forest.RandomForestRegressor` — bagged ensembles of the
   above, mirroring scikit-learn's regression defaults.
+- :class:`~repro.ml.flat.FlatForest` — the flattened-forest kernel both
+  estimators and the portable runtime score through: every tree walked
+  together, one vectorized step per tree level.
 - :class:`~repro.ml.linear.LinearRegression` — ordinary least squares, used
   to fit the PPM functional forms (Section 3.4 of the paper).
 - :mod:`~repro.ml.model_selection` — KFold / RepeatedKFold splitters and

@@ -4,13 +4,15 @@ The paper (Section 3.4, Section 5.6) trains its parameter model with
 scikit-learn's ``RandomForestRegressor`` at default settings: 100
 estimators, bootstrap sampling, and all features considered at each split
 (the regression default).  This module reproduces that estimator on top of
-:class:`repro.ml.tree.DecisionTreeRegressor`.
+:class:`repro.ml.tree.DecisionTreeRegressor`, and scores all of its trees
+together through the flattened-forest kernel (:mod:`repro.ml.flat`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.ml.flat import FlatForest
 from repro.ml.tree import DecisionTreeRegressor
 
 __all__ = ["RandomForestRegressor"]
@@ -57,6 +59,7 @@ class RandomForestRegressor:
         self.n_features_in_: int = 0
         self.n_outputs_: int = 0
         self._y_was_1d = False
+        self._flat: FlatForest | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         """Fit ``n_estimators`` trees on bootstrap resamples of (X, y)."""
@@ -79,6 +82,7 @@ class RandomForestRegressor:
         n = X.shape[0]
 
         self.estimators_ = []
+        self._flat = None
         for _ in range(self.n_estimators):
             if self.bootstrap:
                 sample = rng.integers(0, n, size=n)
@@ -96,27 +100,18 @@ class RandomForestRegressor:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Average the per-tree predictions."""
+        """Average the per-tree predictions (in tree order)."""
         if not self.estimators_:
             raise RuntimeError("this RandomForestRegressor is not fitted yet")
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; the forest was fit with "
-                f"{self.n_features_in_}"
+        if self._flat is None:
+            self._flat = FlatForest(
+                [tree.node_arrays() for tree in self.estimators_],
+                self.n_features_in_,
             )
-        acc = np.zeros((X.shape[0], self.n_outputs_))
-        for tree in self.estimators_:
-            pred = tree.predict(X)
-            if pred.ndim == 1:
-                pred = pred[:, None]
-            acc += pred
-        acc /= len(self.estimators_)
+        out = self._flat.predict(X)
         if self._y_was_1d:
-            return acc[:, 0]
-        return acc
+            return out[:, 0]
+        return out
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.ml.flat import FlatForest
+
 __all__ = ["DecisionTreeRegressor", "TreeNode"]
 
 _LEAF = -1  # sentinel feature index marking leaf nodes
@@ -154,7 +156,7 @@ class DecisionTreeRegressor:
         self.n_features_in_: int = 0
         self.n_outputs_: int = 0
         self._y_was_1d = False
-        self._compiled: tuple[np.ndarray, ...] | None = None
+        self._flat: FlatForest | None = None
 
     # ------------------------------------------------------------------
     # fitting
@@ -204,21 +206,8 @@ class DecisionTreeRegressor:
             stack.append(
                 _Frontier(left_idx, item.depth + 1, parent=node_id, is_left=True)
             )
-        self._compiled = None
+        self._flat = None
         return self
-
-    def _compile(self) -> tuple[np.ndarray, ...]:
-        """Flatten the node list into parallel arrays for vectorized apply."""
-        if self._compiled is None:
-            features = np.array([n.feature for n in self.nodes_], dtype=int)
-            thresholds = np.array(
-                [n.threshold for n in self.nodes_], dtype=float
-            )
-            left = np.array([n.left for n in self.nodes_], dtype=int)
-            right = np.array([n.right for n in self.nodes_], dtype=int)
-            values = np.stack([n.value for n in self.nodes_])
-            self._compiled = (features, thresholds, left, right, values)
-        return self._compiled
 
     def _add_node(self, X: np.ndarray, y: np.ndarray, item: _Frontier) -> int:
         ys = y[item.indices]
@@ -285,58 +274,44 @@ class DecisionTreeRegressor:
     # prediction / introspection
     # ------------------------------------------------------------------
 
+    def node_arrays(self) -> tuple[np.ndarray, ...]:
+        """The node list as parallel arrays ``(feature, threshold, left,
+        right, value)``, leaves marked by feature ``-1``: the layout both
+        :class:`~repro.ml.flat.FlatForest` and the portable format take."""
+        self._check_fitted()
+        nodes = self.nodes_
+        return (
+            np.array([n.feature for n in nodes], dtype=int),
+            np.array([n.threshold for n in nodes], dtype=float),
+            np.array([n.left for n in nodes], dtype=int),
+            np.array([n.right for n in nodes], dtype=int),
+            np.stack([n.value for n in nodes]),
+        )
+
+    def _flat_forest(self) -> FlatForest:
+        """The tree as a one-tree :class:`~repro.ml.flat.FlatForest`."""
+        if self._flat is None:
+            self._flat = FlatForest([self.node_arrays()], self.n_features_in_)
+        return self._flat
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict targets for ``X``; shape mirrors the training ``y``."""
         self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; the tree was fit with "
-                f"{self.n_features_in_}"
-            )
-        leaf_ids = self.apply(X)
-        values = self._compile()[4][leaf_ids]
+        values = self._flat_forest().predict(X)
         if self._y_was_1d:
             return values[:, 0]
         return values
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Return the leaf node index each row of ``X`` lands in.
-
-        Traversal is vectorized: all rows descend one level per iteration,
-        so the cost is ``O(n_rows * depth)`` numpy operations.
-        """
+        """Return the leaf node index each row of ``X`` lands in."""
         self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        features, thresholds, left, right, _ = self._compile()
-        idx = np.zeros(X.shape[0], dtype=int)
-        rows = np.arange(X.shape[0])
-        while True:
-            feats = features[idx]
-            active = feats != _LEAF
-            if not np.any(active):
-                break
-            act_rows = rows[active]
-            act_idx = idx[active]
-            go_left = X[act_rows, feats[active]] <= thresholds[act_idx]
-            idx[active] = np.where(go_left, left[act_idx], right[act_idx])
-        return idx
+        return self._flat_forest().apply(X)[0]
 
     @property
     def depth_(self) -> int:
         """Depth of the fitted tree (root-only tree has depth 0)."""
         self._check_fitted()
-        depths = {0: 0}
-        max_depth = 0
-        for node_id, node in enumerate(self.nodes_):
-            d = depths[node_id]
-            if not node.is_leaf:
-                depths[node.left] = d + 1
-                depths[node.right] = d + 1
-                max_depth = max(max_depth, d + 1)
-        return max_depth
+        return self._flat_forest().depth
 
     @property
     def n_leaves_(self) -> int:

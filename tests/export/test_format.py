@@ -119,6 +119,46 @@ class TestValidation:
         with pytest.raises(ValueError, match="disagree"):
             validate_document(doc)
 
+    def test_empty_tree_rejected(self):
+        doc = {
+            "format_version": 1,
+            "kind": "random_forest",
+            "n_features": 2,
+            "trees": [
+                {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+            ],
+        }
+        with pytest.raises(ValueError, match="no nodes"):
+            validate_document(doc)
+
+    @pytest.mark.parametrize(
+        "feature, left, right",
+        [
+            ([0, -1, -1], [0, -1, -1], [2, -1, -1]),  # a node is its own child
+            ([0, 0, -1], [1, 0, -1], [2, 2, -1]),  # a cycle back to the root
+            ([0, -1, -1], [1, -1, -1], [3, -1, -1]),  # child outside the tree
+            ([4, -1, -1], [1, -1, -1], [2, -1, -1]),  # split feature too wide
+            ([0, 0, -1], [1, 2, -1], [2, 2, -1]),  # a child with two parents
+        ],
+    )
+    def test_malformed_links_rejected(self, feature, left, right):
+        doc = {
+            "format_version": 1,
+            "kind": "random_forest",
+            "n_features": 2,
+            "trees": [
+                {
+                    "feature": feature,
+                    "threshold": [0.5, None, None],
+                    "left": left,
+                    "right": right,
+                    "value": [[0.0], [1.0], [2.0]],
+                }
+            ],
+        }
+        with pytest.raises(ValueError, match="child link is invalid"):
+            validate_document(doc)
+
     def test_linear_missing_coefs_rejected(self):
         with pytest.raises(ValueError, match="coefficients"):
             validate_document({"format_version": 1, "kind": "linear"})

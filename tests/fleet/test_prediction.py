@@ -238,6 +238,47 @@ class TestFeaturesMemoLRU:
             PredictionService(CountingScorer(), features_memo_size=0)
 
 
+class TestDecisionCacheLRU:
+    """The decision cache is keyed by client-supplied feature vectors, so
+    it is a bounded LRU like the featurization memo."""
+
+    def test_distinct_vectors_stay_within_the_default_bound(self):
+        service = PredictionService(CountingScorer())
+        for start in range(0, 20_000, 1_000):
+            batch = [features(float(v)) for v in range(start, start + 1_000)]
+            service.predict_batch(batch)
+        assert service.misses == 20_000
+        assert service.cache_size == 4096
+
+    def test_single_predictions_are_bounded_too(self):
+        service = PredictionService(CountingScorer())
+        service._cache.maxsize = 8
+        for v in range(100):
+            service.predict(features(float(v)))
+        assert service.cache_size == 8
+
+    def test_hit_refreshes_recency(self):
+        scorer = CountingScorer()
+        service = PredictionService(scorer)
+        service._cache.maxsize = 2
+        service.predict(features(1.0))
+        service.predict(features(2.0))
+        assert service.predict(features(1.0)).cached  # 1.0 now most recent
+        service.predict(features(3.0))  # evicts 2.0, not 1.0
+        assert service.predict(features(1.0)).cached
+        assert not service.predict(features(2.0)).cached
+        assert scorer.calls == 4
+
+    def test_batch_wider_than_the_bound(self):
+        """A batch's own decisions survive its evictions from the cache."""
+        service = PredictionService(CountingScorer())
+        service._cache.maxsize = 3
+        batch = [features(float(v)) for v in (1, 2, 3, 4, 5, 1)]
+        out = service.predict_batch(batch)
+        assert [p.cached for p in out] == [False] * 5 + [True]
+        assert service.cache_size == 3
+
+
 class TestBatching:
     def test_batch_matches_sequential(self):
         plans = [features(float(i % 3)) for i in range(7)]
