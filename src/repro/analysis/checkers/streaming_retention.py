@@ -10,11 +10,13 @@ later.  This rule guards the fold path itself: inside the configured
 streaming accumulator classes
 (:attr:`~repro.analysis.config.AnalysisConfig.streaming_classes`), any
 container-growth call reachable from ``self`` — ``append``, ``extend``,
-``insert``, ``appendleft``, ``extendleft``, ``add`` — and any
+``insert``, ``appendleft``, ``extendleft``, ``add``, ``put`` — any
+subscript store ``self.x[k] = v`` (how a dict cache grows), and any
 ``self.x += [...]`` is a finding, unless the grown attribute is declared
 bounded in
 :attr:`~repro.analysis.config.AnalysisConfig.streaming_bounded_attrs`
-(the sketch attributes, whose ``add`` is a histogram fold, not growth).
+(the sketch attributes, whose ``add`` is a histogram fold, not growth;
+an LRU whose ``put`` evicts).
 
 Growth on locals is fine (temporaries die with the frame); only state
 that survives the call can leak.
@@ -30,7 +32,7 @@ from repro.analysis.core import Finding, ModuleContext
 __all__ = ["StreamingRetentionChecker"]
 
 _GROWTH_METHODS = frozenset(
-    {"append", "extend", "insert", "appendleft", "extendleft", "add"}
+    {"append", "extend", "insert", "appendleft", "extendleft", "add", "put"}
 )
 
 
@@ -97,6 +99,9 @@ class StreamingRetentionChecker(Checker):
             ):
                 attr = _self_root_attr(node.func.value)
                 verb = f".{node.func.attr}()"
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                attr = _self_root_attr(node.value)
+                verb = "[...] = ..."
             elif isinstance(node, ast.AugAssign) and isinstance(
                 node.op, ast.Add
             ):

@@ -120,11 +120,20 @@ class AnalysisConfig:
         "repro.obs.sketch:QuantileSketch",
     )
     streaming_bounded_attrs: tuple[str, ...] = (
-        # StreamingFleetStats' sketch attributes: their .add() is a
-        # bounded histogram fold, not container growth.
+        # StreamingFleetStats' distributions: in a streaming serve they
+        # are sketches, whose .add() is a bounded histogram fold.  A
+        # record-mode fold swaps in ExactDistribution lists, O(n) like
+        # the records they mirror — record mode keeps those anyway.
         "latency",
         "queue_delay",
         "run_seconds",
+        # QuantileSketch's bucket counts: one key per occupied
+        # log-bucket, O(log(v_max / v_min) / relative_accuracy).
+        "_counts",
+        # SkylineTracker's steps since the pool's last finish: trimmed
+        # to one entry at every finish, so it holds only the steps of
+        # one inter-finish gap, never the stream's.
+        "_since_finish",
     )
 
     #: keys whose pyproject values *extend* the default tuple instead of

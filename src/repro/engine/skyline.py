@@ -105,6 +105,12 @@ class Skyline:
         partial = self.points[idx][1] * (end_time - self.points[idx][0])
         return float(prefix[idx] + partial)
 
+    def window_auc(self, start: float, end: float) -> float:
+        """Occupancy over ``[start, end]`` (0.0 for an empty window)."""
+        if end <= start:
+            return 0.0
+        return self.auc(end) - self.auc(start)
+
     def auc_batch(self, end_times: np.ndarray | Sequence[float]) -> np.ndarray:
         """Vectorized :meth:`auc` over many end times.
 

@@ -51,7 +51,7 @@ from repro.fleet.engine import (
     PoolRuntime,
     allocator_decision,
 )
-from repro.fleet.metrics import ClusterMetrics, FleetMetrics, _serving_window
+from repro.fleet.metrics import ClusterMetrics, FleetMetrics
 from repro.obs.trace import TraceEvent, Tracer
 from repro.fleet.routing import (
     DEFAULT_RUNTIME_ESTIMATE_S,
@@ -155,24 +155,16 @@ def cluster_metrics(pools: list[FleetMetrics], placed: Sequence[int]) -> Cluster
     for a streaming serve).  Each pool lists its records in stream
     order, so drawing from the placed pool in turn rebuilds the
     cluster's stream order.  Every pool then bills the cluster-wide
-    serving window — a pool the router never picked still pays for its
-    provisioned floor — recovered in streaming mode from the per-pool
-    accumulators (pools with no observations contribute nothing).
-    ``FleetMetrics`` derives everything lazily, so the window can be set
-    after ``finalize``.
+    serving window, read from the cluster's fold — a pool the router
+    never picked still pays for its provisioned floor.
     """
     drawn = [iter(pool.records) for pool in pools]
-    records = [next(drawn[i]) for i in placed]
-    if records:
-        window = _serving_window(records)
-    else:
-        stats = [pool.stats for pool in pools if pool.stats is not None]
-        starts = [s.first_arrival for s in stats if s.first_arrival is not None]
-        ends = [s.last_finish for s in stats if s.last_finish is not None]
-        window = (min(starts), max(ends))
+    metrics = ClusterMetrics(
+        pools=pools, records=[next(drawn[i]) for i in placed], pool_of=list(placed)
+    )
     for pool in pools:
-        pool.serving_window = window
-    return ClusterMetrics(pools=pools, records=records, pool_of=list(placed))
+        pool.serving_window = metrics.fold.window
+    return metrics
 
 
 class ShardedFleet:

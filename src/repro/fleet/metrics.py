@@ -19,28 +19,28 @@ the sharded-fleet view (:mod:`repro.fleet.cluster`): cluster-wide
 latency percentiles and queue delays over all served queries, plus
 summed occupancy, idle-capacity, and dollar costs.
 
-**Streaming mode.**  A record-backed :class:`FleetMetrics` is exact but
-O(n) memory per serve.  Under :attr:`FleetConfig.streaming
-<repro.fleet.engine.FleetConfig>` the fleet drivers instead fold each
-finished query into a :class:`PoolStreamStats` — latency/queue-delay
-distributions in :class:`~repro.obs.sketch.QuantileSketch` histograms,
-occupancy/billing/fault totals in incremental accumulators, and the
-pool/capacity skylines reduced to O(1) :class:`SkylineTracker` state —
-and every property below answers from that state instead of the (empty)
-record list.  Counts, sums, extrema, windows, and costs are exact;
-percentiles carry the sketch's relative-accuracy bound.  Records are
+**One fold, two serve modes.**  Every distribution, count, window and
+total is read from one fold over the finished queries.  A record-mode
+serve keeps its :class:`QueryRecord` list and folds it in stream order
+with exact distributions (``np.percentile`` / ``np.mean``), so its
+numbers are those of the records, bit for bit.  Under
+:attr:`FleetConfig.streaming <repro.fleet.engine.FleetConfig>` the
+drivers fold each query into a :class:`PoolStreamStats` as it finishes
+and keep no records: distributions in
+:class:`~repro.obs.sketch.QuantileSketch` histograms (percentiles within
+the sketch's relative accuracy), totals exact, and the usage and
+capacity skylines reduced to :class:`SkylineTracker` state.  Records are
 opt-in via JSONL spooling (:meth:`QueryRecord.to_json` /
 :func:`read_spooled_records`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
-
-import numpy as np
+from typing import IO, Any, Iterable
 
 from repro.engine.faults import FaultStats
 from repro.engine.skyline import Skyline
@@ -214,13 +214,15 @@ def read_spooled_records(
 
 
 class SkylineTracker:
-    """O(1) streaming stand-in for a recorded :class:`Skyline`.
+    """Bounded streaming stand-in for a recorded :class:`Skyline`.
 
     A full skyline keeps every ``(time, count)`` step — one per grant or
     release, unbounded over a long serve.  The streaming serve only ever
-    needs four derived quantities (running integral, current step, peak,
-    and windowed area), so the tracker folds each step into those as it
-    happens and keeps nothing else.
+    needs the running integral, current step, peak and windowed area, so
+    the tracker folds each step into those as it happens.  Besides them
+    it keeps only the steps since the pool's last finish
+    (:meth:`mark_finish`): no serving window ends before that instant,
+    but a late executor grant can still step the pool after it.
 
     The windowed-area shortcut in :meth:`window_auc` assumes the tracked
     value is still ``initial`` at ``start`` — true for both uses here:
@@ -229,27 +231,53 @@ class SkylineTracker:
     moves on a tick, which is anchored at the first admission.
     """
 
-    __slots__ = ("initial", "last_time", "last_value", "integral", "peak")
+    __slots__ = (
+        "initial",
+        "last_time",
+        "last_value",
+        "integral",
+        "_peak",
+        "_since_finish",
+    )
 
     def __init__(self, time: float = 0.0, value: int = 0) -> None:
         self.initial = int(value)
         self.last_time = float(time)
         self.last_value = int(value)
         self.integral = 0.0
-        self.peak = int(value)
+        self._peak = int(value)
+        # (time, integral, value) after each step since the last finish,
+        # starting with the step current at that finish.
+        self._since_finish = [(self.last_time, 0.0, self.initial)]
 
     def record(self, time: float, value: int) -> None:
         """Fold one step in (times must be non-decreasing)."""
+        if time > self.last_time and self.last_value > self._peak:
+            self._peak = self.last_value
         self.integral += self.last_value * (time - self.last_time)
         self.last_time = float(time)
         self.last_value = int(value)
-        if value > self.peak:
-            self.peak = int(value)
+        self._since_finish.append((self.last_time, self.integral, self.last_value))
+
+    @property
+    def peak(self) -> int:
+        """Largest value held for a positive span, or held now — a
+        :class:`Skyline` likewise keeps only the last step at an
+        instant, so a same-instant spike counts in neither."""
+        return max(self._peak, self.last_value)
+
+    def mark_finish(self) -> None:
+        """Note a query finishing at the current step: no window ends
+        before it, so the steps before it are dropped."""
+        del self._since_finish[:-1]
 
     def auc_to(self, time: float) -> float:
         """Area under the step function from 0 to ``time`` (an instant
-        at or after the last recorded step)."""
-        return self.integral + self.last_value * (time - self.last_time)
+        at or after the last :meth:`mark_finish`)."""
+        for step_time, integral, value in reversed(self._since_finish):
+            if step_time <= time:
+                return integral + value * (time - step_time)
+        raise ValueError("area requested before the pool's last finish")
 
     def window_auc(self, start: float, end: float) -> float:
         """Area over ``[start, end]`` (see the class note for when the
@@ -266,7 +294,7 @@ class SkylineTracker:
             and self.last_time == other.last_time
             and self.last_value == other.last_value
             and self.integral == other.integral
-            and self.peak == other.peak
+            and self._peak == other._peak
         )
 
     def __repr__(self) -> str:
@@ -276,19 +304,21 @@ class SkylineTracker:
         )
 
 
+_StepFunction = Skyline | SkylineTracker  # recorded or tracked
+
+
 class PoolStreamStats(StreamingFleetStats):
-    """One pool's O(1)-memory serving state for a streaming serve.
+    """One pool's serving fold.
 
-    Extends :class:`~repro.obs.metrics.StreamingFleetStats` (latency /
-    queue-delay / run-seconds sketches, counts, window extrema) with the
-    pool-level accumulators a :class:`FleetMetrics` needs to answer its
-    full surface without records: the usage and capacity trackers, the
-    billed-occupancy total, the incrementally merged fault ledger, and
-    the running capacity-invariant check.
+    Extends :class:`~repro.obs.metrics.StreamingFleetStats` with what a
+    :class:`FleetMetrics` reads besides: the billed-occupancy total, the
+    merged fault ledger and, in a streaming serve, the usage and
+    capacity trackers and the running capacity-invariant check.
 
-    Fold order is finish order, so two serves that finish queries in the
-    same order produce bit-identical state — the multiprocess merge
-    contract (:mod:`repro.fleet.parallel`) rests on this.
+    A streaming serve folds in finish order, so two serves that finish
+    queries in the same order produce bit-identical state — the
+    multiprocess merge contract (:mod:`repro.fleet.parallel`) rests on
+    this.  Record mode folds its records in stream order.
     """
 
     def __init__(self, relative_accuracy: float = 0.01) -> None:
@@ -300,48 +330,19 @@ class PoolStreamStats(StreamingFleetStats):
         self.fault: FaultStats | None = None
 
     def observe(self, record: QueryRecord) -> None:
-        """Fold one finished query in (latency sketches via the base
-        class, then the pool-billing and fault accumulators)."""
+        """Fold one finished query in, with its bill and fault ledger."""
         super().observe(record)
+        self.usage.mark_finish()
+        if self.capacity is not None:
+            self.capacity.mark_finish()
         stats = record.fault_stats
         if stats is None:
             self.billed_occupancy_seconds += record.auc
         else:
             self.billed_occupancy_seconds += stats.billed_executor_seconds
-            acc = self.fault
-            if acc is None:
-                acc = self.fault = FaultStats()
-            acc.crashes += stats.crashes
-            acc.reclamations += stats.reclamations
-            acc.replacements += stats.replacements
-            acc.tasks_started += stats.tasks_started
-            acc.tasks_killed += stats.tasks_killed
-            acc.wasted_task_seconds += stats.wasted_task_seconds
-            acc.spot_executor_seconds += stats.spot_executor_seconds
-            acc.ondemand_executor_seconds += stats.ondemand_executor_seconds
-            if stats.spot_discount != 1.0:
-                acc.spot_discount = stats.spot_discount
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PoolStreamStats):
-            return NotImplemented
-        return (
-            self.relative_accuracy == other.relative_accuracy
-            and self.latency == other.latency
-            and self.queue_delay == other.queue_delay
-            and self.run_seconds == other.run_seconds
-            and self.n_queries == other.n_queries
-            and self.total_executor_seconds == other.total_executor_seconds
-            and self.prediction_hits == other.prediction_hits
-            and self.prediction_decisions == other.prediction_decisions
-            and self.first_arrival == other.first_arrival
-            and self.last_finish == other.last_finish
-            and self.usage == other.usage
-            and self.capacity == other.capacity
-            and self.capacity_ok == other.capacity_ok
-            and self.billed_occupancy_seconds == other.billed_occupancy_seconds
-            and self.fault == other.fault
-        )
+            self.fault = FaultStats.merged(
+                (stats,) if self.fault is None else (self.fault, stats)
+            )
 
 
 @dataclass
@@ -400,44 +401,270 @@ class AdaptiveStats:
         }
 
 
-def _latency_percentile(records: Sequence[QueryRecord], q: float) -> float:
-    if not records:
-        return 0.0
-    return float(np.percentile([r.latency for r in records], q))
+def _pooled(name: str) -> Any:
+    """A cluster property: the pools' ``name`` summed in pool order by a
+    plain ``+=``, as the fold sums (from Python 3.12 the builtin
+    ``sum()`` compensates, which moves the last bits)."""
+
+    def total(self: ClusterMetrics) -> float:
+        out = 0.0
+        for pool in self.pools:
+            out += getattr(pool, name)
+        return out
+
+    return property(total, doc=f"The pools' ``{name}``, summed in pool order.")
 
 
-def _mean_queue_delay(records: Sequence[QueryRecord]) -> float:
-    if not records:
-        return 0.0
-    return float(np.mean([r.queue_delay for r in records]))
+class _ServingMetrics:
+    """The surface :class:`FleetMetrics` and :class:`ClusterMetrics`
+    share.
 
+    Every distribution, count and window is read from :attr:`fold`, in
+    both serve modes.  Each class supplies the fold and the totals (a
+    pool from its fold and step functions, the cluster by rolling up
+    its pools); the costs and reports are built on them.
+    """
 
-def _max_queue_delay(records: Sequence[QueryRecord]) -> float:
-    if not records:
-        return 0.0
-    return max(r.queue_delay for r in records)
+    adaptive: AdaptiveStats | None
 
+    # --- supplied by each class -----------------------------------------
+    @property
+    def fold(self) -> StreamingFleetStats:
+        raise NotImplementedError
 
-def _serving_window(records: Sequence[QueryRecord]) -> tuple[float, float]:
-    """First arrival to last completion — the span capacity is billed over."""
-    if not records:
-        return (0.0, 0.0)
-    start = min(r.arrival_time for r in records)
-    end = max(r.finish_time for r in records)
-    return (start, end)
+    @property
+    def fault_stats(self) -> FaultStats:
+        raise NotImplementedError
 
+    @property
+    def billed_occupancy_seconds(self) -> float:
+        raise NotImplementedError
 
-def _cache_hit_rate(records: Sequence[QueryRecord]) -> float:
-    flagged = [
-        r.prediction_cached for r in records if r.prediction_cached is not None
-    ]
-    if not flagged:
-        return 0.0
-    return float(np.mean(flagged))
+    @property
+    def provisioned_executor_seconds(self) -> float:
+        raise NotImplementedError
+
+    @property
+    def reserved_executor_seconds(self) -> float:
+        raise NotImplementedError
+
+    @property
+    def idle_capacity_seconds(self) -> float:
+        raise NotImplementedError
+
+    def _dollars(self, executor_seconds: float) -> float:
+        raise NotImplementedError
+
+    # --- read from the fold ---------------------------------------------
+    def _window(self) -> tuple[float, float]:
+        return self.fold.window
+
+    @property
+    def n_queries(self) -> int:
+        return self.fold.n_queries
+
+    @property
+    def makespan(self) -> float:
+        """First arrival to last completion."""
+        return self.fold.makespan
+
+    def latency_percentile(self, q: float) -> float:
+        """The ``q``-th percentile of end-to-end query latency (exact
+        in record mode, a sketch estimate within ``relative_accuracy``
+        in streaming mode)."""
+        return self.fold.latency.quantile(q)
+
+    @property
+    def p50_latency(self) -> float:
+        return self.latency_percentile(50)
+
+    @property
+    def p95_latency(self) -> float:
+        return self.latency_percentile(95)
+
+    @property
+    def p99_latency(self) -> float:
+        return self.latency_percentile(99)
+
+    @property
+    def mean_queue_delay(self) -> float:
+        return self.fold.queue_delay.mean
+
+    @property
+    def max_queue_delay(self) -> float:
+        return self.fold.queue_delay.max or 0.0
+
+    @property
+    def total_executor_seconds(self) -> float:
+        """Summed executor occupancy across all queries (the paper's AUC
+        cost metric, fleet-wide)."""
+        return self.fold.total_executor_seconds
+
+    def prediction_cache_hit_rate(self) -> float:
+        """Fraction of predictive decisions served from the memo cache."""
+        return self.fold.prediction_cache_hit_rate()
+
+    # --- faults ----------------------------------------------------------
+    @property
+    def wasted_work_seconds(self) -> float:
+        """Task progress destroyed by executor failures (re-executed at
+        full price — the skyline billed it, then billed the retry)."""
+        return self.fault_stats.wasted_task_seconds
+
+    @property
+    def task_retries(self) -> int:
+        """Tasks re-executed after a crash or spot reclamation."""
+        return self.fault_stats.task_retries
+
+    @property
+    def executor_failures(self) -> int:
+        """Executor losses of either cause (crash or reclamation)."""
+        return self.fault_stats.failures
+
+    @property
+    def spot_executor_seconds(self) -> float:
+        return self.fault_stats.spot_executor_seconds
+
+    @property
+    def ondemand_executor_seconds(self) -> float:
+        return self.fault_stats.ondemand_executor_seconds
+
+    # --- costs -----------------------------------------------------------
+    @property
+    def idle_capacity_dollar_cost(self) -> float:
+        return self._dollars(self.idle_capacity_seconds)
+
+    @property
+    def spot_dollar_cost(self) -> float:
+        """The discounted bill for spot executor-seconds."""
+        stats = self.fault_stats
+        return self._dollars(stats.spot_executor_seconds * stats.spot_discount)
+
+    @property
+    def ondemand_dollar_cost(self) -> float:
+        """The full-price bill for on-demand executor-seconds (occupancy
+        billed by AUC when no fault ledger exists)."""
+        return max(
+            0.0,
+            self._dollars(self.billed_occupancy_seconds) - self.spot_dollar_cost,
+        )
+
+    @property
+    def retrain_executor_seconds(self) -> float:
+        """Modeled executor-seconds spent retraining (zero when frozen)."""
+        if self.adaptive is None:
+            return 0.0
+        return self.adaptive.retrain_executor_seconds
+
+    @property
+    def retrain_dollar_cost(self) -> float:
+        """The retraining bill, at the pool's own core-hour rate (a
+        cluster's one bill is priced at pool 0's rate — all pools in a
+        fleet share an executor shape and rate)."""
+        return self._dollars(self.retrain_executor_seconds)
+
+    @property
+    def total_dollar_cost(self) -> float:
+        """Occupancy cost plus the bill for autoscaled-but-idle capacity
+        and (for adaptive serves) model retraining.
+
+        A statically provisioned pool charges pure occupancy (the
+        paper's metric); capacity an autoscaler provisioned is paid for
+        whether queries used it or not; spot executor-seconds are billed
+        at their discount.  Idle *autoscaled* capacity is billed at the
+        full on-demand rate — spot classification exists only for
+        executor instances that actually arrived, so the conservative
+        choice is to price the unoccupied provisioned gap as on-demand.
+        An adaptive serve additionally pays for its retraining passes
+        (modeled executor-seconds, full price) — the adaptive-vs-frozen
+        comparisons are honest only if retraining is on the bill.
+        """
+        return self._dollars(
+            self.billed_occupancy_seconds
+            + self.idle_capacity_seconds
+            + self.retrain_executor_seconds
+        )
+
+    @property
+    def provisioned_dollar_cost(self) -> float:
+        """What the whole provisioned capacity costs over the serving
+        window — the apples-to-apples bill when comparing static
+        provisioning against autoscaling."""
+        return self._dollars(self.provisioned_executor_seconds)
+
+    def utilization(self) -> float:
+        """Mean fraction of provisioned capacity reserved over the run
+        (reserved over provisioned executor-seconds)."""
+        provisioned = self.provisioned_executor_seconds
+        if provisioned <= 0:
+            return 0.0
+        return self.reserved_executor_seconds / provisioned
+
+    # --- reports ---------------------------------------------------------
+    def _summary(self, usage: dict[str, float]) -> dict[str, float]:
+        stats = self.fault_stats
+        # The fold's own keys, then the totals each class supplies.
+        out = {
+            **self.fold.summary(),
+            **usage,
+            "utilization": self.utilization(),
+            "total_executor_seconds": self.total_executor_seconds,
+            "idle_capacity_seconds": self.idle_capacity_seconds,
+            "provisioned_executor_seconds": self.provisioned_executor_seconds,
+            "total_dollar_cost": self.total_dollar_cost,
+            "provisioned_dollar_cost": self.provisioned_dollar_cost,
+            "executor_failures": float(stats.failures),
+            "task_retries": float(stats.task_retries),
+            "wasted_work_seconds": float(stats.wasted_task_seconds),
+            "spot_executor_seconds": float(stats.spot_executor_seconds),
+            "spot_dollar_cost": self.spot_dollar_cost,
+        }
+        if self.adaptive is not None:
+            out.update(self.adaptive.as_summary(self.retrain_dollar_cost))
+        return out
+
+    def _describe(self, scope: str, usage: list[str], faulted: bool) -> list[str]:
+        s = self._summary({})
+        lines = [
+            f"queries served        {self.n_queries}",
+            f"makespan              {s['makespan_s']:10.1f} s",
+            f"latency p50/p95/p99   {s['p50_latency_s']:.1f} / "
+            f"{s['p95_latency_s']:.1f} / {s['p99_latency_s']:.1f} s",
+            f"mean queueing delay   {s['mean_queue_delay_s']:10.1f} s",
+            f"max queueing delay    {s['max_queue_delay_s']:10.1f} s",
+            *usage,
+            f"{scope + ' utilization':22}{s['utilization']:10.1%}",
+            f"executor-seconds      {s['total_executor_seconds']:10.0f}",
+            f"idle capacity cost    ${self.idle_capacity_dollar_cost:9.2f}",
+            f"total cost            ${s['total_dollar_cost']:9.2f}",
+            f"provisioned cost      ${s['provisioned_dollar_cost']:9.2f}",
+            f"prediction cache hit  {s['prediction_cache_hit_rate']:10.1%}",
+        ]
+        if self.adaptive is not None:
+            a = self.adaptive
+            lines.append(
+                f"continual learning    gen {a.model_generation}, "
+                f"{a.retrains} retrains ({a.promotions} promoted, "
+                f"{a.rejections} rejected), {a.drift_alarms} drift alarms, "
+                f"retrain cost ${self.retrain_dollar_cost:.2f}"
+            )
+        if faulted:
+            stats = self.fault_stats
+            lines += [
+                f"executor failures     {stats.crashes} crashes, "
+                f"{stats.reclamations} reclamations",
+                f"task retries          {stats.task_retries} "
+                f"({s['wasted_work_seconds']:.0f} task-seconds wasted)",
+                f"spot / on-demand      {stats.spot_executor_seconds:.0f} / "
+                f"{stats.ondemand_executor_seconds:.0f} executor-seconds "
+                f"(${self.spot_dollar_cost:.2f} / "
+                f"${self.ondemand_dollar_cost:.2f})",
+            ]
+        return lines
 
 
 @dataclass
-class FleetMetrics:
+class FleetMetrics(_ServingMetrics):
     """Aggregate outcome of one fleet run.
 
     Attributes:
@@ -460,11 +687,10 @@ class FleetMetrics:
             → last-finish span.
         price_per_core_hour: billing rate for the dollar-cost metrics.
         stats: the pool's :class:`PoolStreamStats` when the serve ran in
-            streaming mode — ``records`` is then empty and every
-            property below answers from the bounded-memory accumulators
-            instead (percentiles become sketch estimates within the
-            configured relative accuracy; totals, windows, and costs
-            stay exact).  ``None`` for record-backed metrics.
+            streaming mode — ``records`` is then empty, and it is the
+            :attr:`fold` and holds the usage and capacity trackers.
+            ``None`` for record-backed metrics (the fold is then built
+            from ``records``).
         adaptive: the continual-learning ledger
             (:class:`AdaptiveStats`) when the serve ran with a feedback
             sink that keeps one; ``None`` for frozen serves.  Its
@@ -481,65 +707,22 @@ class FleetMetrics:
     price_per_core_hour: float = DEFAULT_PRICE_PER_CORE_HOUR
     stats: PoolStreamStats | None = None
     adaptive: AdaptiveStats | None = None
-    _fault_stats: FaultStats | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    @functools.cached_property
+    def fold(self) -> PoolStreamStats:
+        """The pool's fold: :attr:`stats` in a streaming serve, else the
+        records folded in stream order with exact distributions (built
+        on first read, once the records are complete)."""
+        if self.stats is not None:
+            return self.stats
+        return PoolStreamStats.exact(self.records)
 
     def _window(self) -> tuple[float, float]:
         if self.serving_window is not None:
             return self.serving_window
-        if self.stats is not None:
-            if self.stats.first_arrival is None:
-                return (0.0, 0.0)
-            return (self.stats.first_arrival, self.stats.last_finish)
-        return _serving_window(self.records)
+        return super()._window()
 
-    @property
-    def n_queries(self) -> int:
-        if self.stats is not None:
-            return self.stats.n_queries
-        return len(self.records)
-
-    @property
-    def makespan(self) -> float:
-        """First arrival to last completion."""
-        if self.stats is not None:
-            return self.stats.makespan
-        start, end = _serving_window(self.records)
-        return end - start
-
-    def latency_percentile(self, q: float) -> float:
-        """The ``q``-th percentile of end-to-end query latency (a
-        sketch estimate within ``relative_accuracy`` in streaming
-        mode)."""
-        if self.stats is not None:
-            return self.stats.latency.quantile(q)
-        return _latency_percentile(self.records, q)
-
-    @property
-    def p50_latency(self) -> float:
-        return self.latency_percentile(50)
-
-    @property
-    def p95_latency(self) -> float:
-        return self.latency_percentile(95)
-
-    @property
-    def p99_latency(self) -> float:
-        return self.latency_percentile(99)
-
-    @property
-    def mean_queue_delay(self) -> float:
-        if self.stats is not None:
-            return self.stats.queue_delay.mean
-        return _mean_queue_delay(self.records)
-
-    @property
-    def max_queue_delay(self) -> float:
-        if self.stats is not None:
-            return self.stats.queue_delay.max or 0.0
-        return _max_queue_delay(self.records)
-
+    # --- usage and capacity step functions -------------------------------
     @property
     def peak_pool_usage(self) -> int:
         """Most executors ever reserved at one instant."""
@@ -569,26 +752,25 @@ class FleetMetrics:
             for t, count in self.capacity_skyline.points
         )
 
-    @property
-    def total_executor_seconds(self) -> float:
-        """Summed executor occupancy across all queries (the paper's AUC
-        cost metric, fleet-wide)."""
-        if self.stats is not None:
-            return self.stats.total_executor_seconds
-        return sum(r.auc for r in self.records)
+    def _steps(self) -> tuple[_StepFunction, _StepFunction | None]:
+        """The usage and provisioned-capacity step functions (no capacity
+        one for a static pool): the skylines in record mode, the fold's
+        O(1) trackers in a streaming serve."""
+        if self.stats is None:
+            return self.pool_skyline, self.capacity_skyline
+        return self.stats.usage, self.stats.capacity
 
     @property
     def provisioned_executor_seconds(self) -> float:
         """Capacity provisioned over the serving window, in
         executor-seconds — what a pay-for-provisioned bill meters."""
         start, end = self._window()
+        capacity = self._steps()[1]
+        if capacity is not None:
+            return capacity.window_auc(start, end)
         if end <= start:
             return 0.0
-        if self.stats is not None and self.stats.capacity is not None:
-            return self.stats.capacity.window_auc(start, end)
-        if self.capacity_skyline is None:
-            return self.capacity * (end - start)
-        return self.capacity_skyline.auc(end) - self.capacity_skyline.auc(start)
+        return self.capacity * (end - start)
 
     @property
     def reserved_executor_seconds(self) -> float:
@@ -596,75 +778,31 @@ class FleetMetrics:
         skyline's area — reserved from admission, counting executors
         still in their provisioning ramp)."""
         start, end = self._window()
-        if end <= start:
-            return 0.0
-        if self.stats is not None:
-            return self.stats.usage.window_auc(start, end)
-        return self.pool_skyline.auc(end) - self.pool_skyline.auc(start)
+        return self._steps()[0].window_auc(start, end)
 
     @property
     def idle_capacity_seconds(self) -> float:
         """Autoscaled capacity that sat provisioned but unoccupied.
 
-        Zero for statically provisioned pools (no capacity skyline); for
-        autoscaled pools this is the billable gap between provisioned
-        capacity and the executor-seconds queries actually occupied —
-        including capacity reserved by grants whose executors had not
-        arrived yet, so occupancy plus this term bills every provisioned
-        executor-second.
+        Zero for statically provisioned pools; for autoscaled pools this
+        is the billable gap between provisioned capacity and the
+        executor-seconds queries actually occupied — including capacity
+        reserved by grants whose executors had not arrived yet, so
+        occupancy plus this term bills every provisioned executor-second.
         """
-        if self.stats is not None:
-            if self.stats.capacity is None:
-                return 0.0
-        elif self.capacity_skyline is None:
+        if self._steps()[1] is None:
             return 0.0
         return max(
             0.0, self.provisioned_executor_seconds - self.total_executor_seconds
         )
 
-    # --- faults ----------------------------------------------------------
+    # --- fold-backed totals ------------------------------------------------
     @property
     def fault_stats(self) -> FaultStats:
         """Merged fault ledger across all served queries (all-zero when
-        the fleet ran unperturbed).
-
-        Memoized: the metrics object is built after the serve completes,
-        so the records are append-complete and ``summary()`` /
-        ``describe()`` — which read several ledger fields each — merge
-        once instead of once per field.
-        """
-        if self.stats is not None:
-            found = self.stats.fault
-            return FaultStats() if found is None else found
-        if self._fault_stats is None:
-            self._fault_stats = FaultStats.merged(
-                r.fault_stats for r in self.records if r.fault_stats is not None
-            )
-        return self._fault_stats
-
-    @property
-    def wasted_work_seconds(self) -> float:
-        """Task progress destroyed by executor failures (re-executed at
-        full price — the skyline billed it, then billed the retry)."""
-        return self.fault_stats.wasted_task_seconds
-
-    @property
-    def task_retries(self) -> int:
-        """Tasks re-executed after a crash or spot reclamation."""
-        return self.fault_stats.task_retries
-
-    @property
-    def executor_failures(self) -> int:
-        """Executor losses of either cause (crash or reclamation)."""
-        return self.fault_stats.failures
-
-    @property
-    def spot_executor_seconds(self) -> float:
-        return self.fault_stats.spot_executor_seconds
-
-    @property
-    def ondemand_executor_seconds(self) -> float:
-        return self.fault_stats.ondemand_executor_seconds
+        the fleet ran unperturbed)."""
+        found = self.fold.fault
+        return FaultStats() if found is None else found
 
     @property
     def billed_occupancy_seconds(self) -> float:
@@ -675,115 +813,11 @@ class FleetMetrics:
         bit); queries served under a fault plan bill their classified
         on-demand seconds plus spot seconds at the spot discount.
         """
-        if self.stats is not None:
-            return self.stats.billed_occupancy_seconds
-        total = 0.0
-        for r in self.records:
-            if r.fault_stats is None:
-                total += r.auc
-            else:
-                total += r.fault_stats.billed_executor_seconds
-        return total
+        return self.fold.billed_occupancy_seconds
 
     def _dollars(self, executor_seconds: float) -> float:
         core_hours = executor_seconds * self.cores_per_executor / 3600.0
         return core_hours * self.price_per_core_hour
-
-    @property
-    def idle_capacity_dollar_cost(self) -> float:
-        return self._dollars(self.idle_capacity_seconds)
-
-    @property
-    def spot_dollar_cost(self) -> float:
-        """The discounted bill for spot executor-seconds."""
-        stats = self.fault_stats
-        return self._dollars(stats.spot_executor_seconds * stats.spot_discount)
-
-    @property
-    def ondemand_dollar_cost(self) -> float:
-        """The full-price bill for on-demand executor-seconds (occupancy
-        billed by AUC when no fault ledger exists)."""
-        return max(
-            0.0,
-            self._dollars(self.billed_occupancy_seconds) - self.spot_dollar_cost,
-        )
-
-    @property
-    def retrain_executor_seconds(self) -> float:
-        """Modeled executor-seconds spent retraining (zero when frozen)."""
-        if self.adaptive is None:
-            return 0.0
-        return self.adaptive.retrain_executor_seconds
-
-    @property
-    def retrain_dollar_cost(self) -> float:
-        """The retraining bill, at the pool's own core-hour rate."""
-        return self._dollars(self.retrain_executor_seconds)
-
-    @property
-    def total_dollar_cost(self) -> float:
-        """Occupancy cost plus the bill for autoscaled-but-idle capacity
-        and (for adaptive serves) model retraining.
-
-        A statically provisioned pool charges pure occupancy (the
-        paper's metric); capacity an autoscaler provisioned is paid for
-        whether queries used it or not; spot executor-seconds are billed
-        at their discount.  Idle *autoscaled* capacity is billed at the
-        full on-demand rate — spot classification exists only for
-        executor instances that actually arrived, so the conservative
-        choice is to price the unoccupied provisioned gap as on-demand.
-        An adaptive serve additionally pays for its retraining passes
-        (modeled executor-seconds, full price) — the adaptive-vs-frozen
-        comparisons are honest only if retraining is on the bill.
-        """
-        return self._dollars(
-            self.billed_occupancy_seconds
-            + self.idle_capacity_seconds
-            + self.retrain_executor_seconds
-        )
-
-    @property
-    def provisioned_dollar_cost(self) -> float:
-        """What the whole provisioned pool costs over the serving window
-        — the apples-to-apples bill when comparing static provisioning
-        against autoscaling."""
-        return self._dollars(self.provisioned_executor_seconds)
-
-    def utilization(self) -> float:
-        """Mean fraction of provisioned capacity reserved over the run."""
-        provisioned = self.provisioned_executor_seconds
-        if provisioned <= 0:
-            return 0.0
-        return self.reserved_executor_seconds / provisioned
-
-    def prediction_cache_hit_rate(self) -> float:
-        """Fraction of predictive decisions served from the memo cache."""
-        if self.stats is not None:
-            return self.stats.prediction_cache_hit_rate()
-        return _cache_hit_rate(self.records)
-
-    def streaming(self, relative_accuracy: float = 0.01) -> StreamingFleetStats:
-        """The bounded-memory streaming view of this run.
-
-        A streaming serve already holds it — its :attr:`stats` is
-        returned directly (``relative_accuracy`` must match the serve's:
-        a sketch cannot be re-bucketed after the fact).  A record-backed
-        run folds its records into a fresh
-        :class:`~repro.obs.metrics.StreamingFleetStats` whose percentile
-        estimates are within ``relative_accuracy`` of the exact
-        sorted-record values this object reports.
-        """
-        if self.stats is not None:
-            if relative_accuracy != self.stats.relative_accuracy:
-                raise ValueError(
-                    "a streaming serve's sketch accuracy is fixed at serve "
-                    f"time ({self.stats.relative_accuracy}); it cannot be "
-                    "re-bucketed afterwards"
-                )
-            return self.stats
-        return StreamingFleetStats.from_records(
-            self.records, relative_accuracy=relative_accuracy
-        )
 
     def summary(self) -> dict[str, float]:
         """The headline numbers as a flat dict (benchmark-friendly).
@@ -792,82 +826,16 @@ class FleetMetrics:
         (:meth:`AdaptiveStats.as_summary`); frozen serves keep the
         pre-adaptive key set bit-identically.
         """
-        stats = self.fault_stats
-        out = {
-            "n_queries": float(self.n_queries),
-            "makespan_s": self.makespan,
-            "p50_latency_s": self.p50_latency,
-            "p95_latency_s": self.p95_latency,
-            "p99_latency_s": self.p99_latency,
-            "mean_queue_delay_s": self.mean_queue_delay,
-            "max_queue_delay_s": self.max_queue_delay,
-            "peak_pool_usage": float(self.peak_pool_usage),
-            "utilization": self.utilization(),
-            "total_executor_seconds": self.total_executor_seconds,
-            "idle_capacity_seconds": self.idle_capacity_seconds,
-            "provisioned_executor_seconds": self.provisioned_executor_seconds,
-            "total_dollar_cost": self.total_dollar_cost,
-            "provisioned_dollar_cost": self.provisioned_dollar_cost,
-            "prediction_cache_hit_rate": self.prediction_cache_hit_rate(),
-            "executor_failures": float(stats.failures),
-            "task_retries": float(stats.task_retries),
-            "wasted_work_seconds": float(stats.wasted_task_seconds),
-            "spot_executor_seconds": float(stats.spot_executor_seconds),
-            "spot_dollar_cost": self.spot_dollar_cost,
-        }
-        if self.adaptive is not None:
-            out.update(self.adaptive.as_summary(self.retrain_dollar_cost))
-        return out
+        return self._summary({"peak_pool_usage": float(self.peak_pool_usage)})
 
     def describe(self) -> str:
         """A human-readable one-run report."""
-        s = self.summary()
-        lines = [
-            f"queries served        {self.n_queries}",
-            f"makespan              {s['makespan_s']:10.1f} s",
-            f"latency p50/p95/p99   {s['p50_latency_s']:.1f} / "
-            f"{s['p95_latency_s']:.1f} / {s['p99_latency_s']:.1f} s",
-            f"mean queueing delay   {s['mean_queue_delay_s']:10.1f} s",
-            f"max queueing delay    {s['max_queue_delay_s']:10.1f} s",
-            f"peak pool usage       {self.peak_pool_usage}/{self.capacity} "
-            f"executors",
-            f"pool utilization      {s['utilization']:10.1%}",
-            f"executor-seconds      {s['total_executor_seconds']:10.0f}",
-            f"idle capacity cost    ${self.idle_capacity_dollar_cost:9.2f}",
-            f"total cost            ${s['total_dollar_cost']:9.2f}",
-            f"provisioned cost      ${s['provisioned_dollar_cost']:9.2f}",
-            f"prediction cache hit  {s['prediction_cache_hit_rate']:10.1%}",
-        ]
-        if self.adaptive is not None:
-            a = self.adaptive
-            lines.append(
-                f"continual learning    gen {a.model_generation}, "
-                f"{a.retrains} retrains ({a.promotions} promoted, "
-                f"{a.rejections} rejected), {a.drift_alarms} drift alarms, "
-                f"retrain cost ${self.retrain_dollar_cost:.2f}"
-            )
-        faulted = (
-            self.stats.fault is not None
-            if self.stats is not None
-            else any(r.fault_stats is not None for r in self.records)
-        )
-        if faulted:
-            stats = self.fault_stats
-            lines += [
-                f"executor failures     {stats.crashes} crashes, "
-                f"{stats.reclamations} reclamations",
-                f"task retries          {stats.task_retries} "
-                f"({s['wasted_work_seconds']:.0f} task-seconds wasted)",
-                f"spot / on-demand      {stats.spot_executor_seconds:.0f} / "
-                f"{stats.ondemand_executor_seconds:.0f} executor-seconds "
-                f"(${self.spot_dollar_cost:.2f} / "
-                f"${self.ondemand_dollar_cost:.2f})",
-            ]
-        return "\n".join(lines)
+        peak = f"peak pool usage       {self.peak_pool_usage}/{self.capacity} executors"
+        return "\n".join(self._describe("pool", [peak], self.fold.fault is not None))
 
 
 @dataclass
-class ClusterMetrics:
+class ClusterMetrics(_ServingMetrics):
     """Aggregate outcome of one sharded-fleet run.
 
     Attributes:
@@ -894,75 +862,21 @@ class ClusterMetrics:
     pool_of: list[int] = field(default_factory=list)
     price_per_core_hour: float = DEFAULT_PRICE_PER_CORE_HOUR
     adaptive: AdaptiveStats | None = None
-    _merged_stats: StreamingFleetStats | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def _stats(self) -> StreamingFleetStats | None:
-        """The pools' merged streaming stats (``None`` when this is a
-        record-backed run).  Merged once, pool-index order, memoized."""
-        if not self.records and any(p.stats is not None for p in self.pools):
-            if self._merged_stats is None:
-                merged = None
-                for pool in self.pools:
-                    if merged is None:
-                        merged = pool.stats
-                    else:
-                        merged = merged.merge(pool.stats)
-                self._merged_stats = merged
-            return self._merged_stats
-        return None
+    @functools.cached_property
+    def fold(self) -> StreamingFleetStats:
+        """The cluster's fold: the records folded in stream order with
+        exact distributions, or in a streaming serve the pools' folds
+        merged in pool order."""
+        if self.records:
+            return StreamingFleetStats.exact(self.records)
+        return functools.reduce(
+            StreamingFleetStats.merge, [pool.fold for pool in self.pools]
+        )
 
     @property
     def n_pools(self) -> int:
         return len(self.pools)
-
-    @property
-    def n_queries(self) -> int:
-        stats = self._stats()
-        if stats is not None:
-            return stats.n_queries
-        return len(self.records)
-
-    @property
-    def makespan(self) -> float:
-        stats = self._stats()
-        if stats is not None:
-            return stats.makespan
-        start, end = _serving_window(self.records)
-        return end - start
-
-    def latency_percentile(self, q: float) -> float:
-        stats = self._stats()
-        if stats is not None:
-            return stats.latency.quantile(q)
-        return _latency_percentile(self.records, q)
-
-    @property
-    def p50_latency(self) -> float:
-        return self.latency_percentile(50)
-
-    @property
-    def p95_latency(self) -> float:
-        return self.latency_percentile(95)
-
-    @property
-    def p99_latency(self) -> float:
-        return self.latency_percentile(99)
-
-    @property
-    def mean_queue_delay(self) -> float:
-        stats = self._stats()
-        if stats is not None:
-            return stats.queue_delay.mean
-        return _mean_queue_delay(self.records)
-
-    @property
-    def max_queue_delay(self) -> float:
-        stats = self._stats()
-        if stats is not None:
-            return stats.queue_delay.max or 0.0
-        return _max_queue_delay(self.records)
 
     @property
     def capacity_respected(self) -> bool:
@@ -974,183 +888,48 @@ class ClusterMetrics:
         """Summed pool capacities (peak provisioned for autoscaled pools)."""
         return sum(pool.capacity for pool in self.pools)
 
-    @property
-    def total_executor_seconds(self) -> float:
-        return sum(pool.total_executor_seconds for pool in self.pools)
+    def queries_per_pool(self) -> list[int]:
+        return [pool.n_queries for pool in self.pools]
 
-    @property
-    def idle_capacity_seconds(self) -> float:
-        return sum(pool.idle_capacity_seconds for pool in self.pools)
-
-    @property
-    def provisioned_executor_seconds(self) -> float:
-        return sum(pool.provisioned_executor_seconds for pool in self.pools)
-
-    @property
-    def retrain_executor_seconds(self) -> float:
-        """Modeled retraining executor-seconds (zero when frozen)."""
-        if self.adaptive is None:
-            return 0.0
-        return self.adaptive.retrain_executor_seconds
-
-    @property
-    def retrain_dollar_cost(self) -> float:
-        """The cluster's one retraining bill (priced at pool 0's rate —
-        all pools in a fleet share an executor shape and rate)."""
-        if self.adaptive is None or not self.pools:
-            return 0.0
-        return self.pools[0]._dollars(self.retrain_executor_seconds)
-
-    @property
-    def total_dollar_cost(self) -> float:
-        return (
-            sum(pool.total_dollar_cost for pool in self.pools)
-            + self.retrain_dollar_cost
-        )
-
-    @property
-    def idle_capacity_dollar_cost(self) -> float:
-        return sum(pool.idle_capacity_dollar_cost for pool in self.pools)
-
+    # --- per-pool roll-ups ---------------------------------------------
     @property
     def fault_stats(self) -> FaultStats:
         """Merged fault ledger across every pool's served queries."""
         return FaultStats.merged(pool.fault_stats for pool in self.pools)
 
-    @property
-    def wasted_work_seconds(self) -> float:
-        return sum(pool.wasted_work_seconds for pool in self.pools)
+    total_executor_seconds = _pooled("total_executor_seconds")
+    billed_occupancy_seconds = _pooled("billed_occupancy_seconds")
+    provisioned_executor_seconds = _pooled("provisioned_executor_seconds")
+    reserved_executor_seconds = _pooled("reserved_executor_seconds")
+    idle_capacity_seconds = _pooled("idle_capacity_seconds")
+    idle_capacity_dollar_cost = _pooled("idle_capacity_dollar_cost")
+    spot_dollar_cost = _pooled("spot_dollar_cost")
+    ondemand_dollar_cost = _pooled("ondemand_dollar_cost")
+    provisioned_dollar_cost = _pooled("provisioned_dollar_cost")
+
+    _pools_dollar_cost = _pooled("total_dollar_cost")
 
     @property
-    def task_retries(self) -> int:
-        return sum(pool.task_retries for pool in self.pools)
+    def total_dollar_cost(self) -> float:
+        """The pools' bills plus the cluster's one retraining bill."""
+        return self._pools_dollar_cost + self.retrain_dollar_cost
 
-    @property
-    def executor_failures(self) -> int:
-        return sum(pool.executor_failures for pool in self.pools)
-
-    @property
-    def spot_executor_seconds(self) -> float:
-        return sum(pool.spot_executor_seconds for pool in self.pools)
-
-    @property
-    def ondemand_executor_seconds(self) -> float:
-        return sum(pool.ondemand_executor_seconds for pool in self.pools)
-
-    @property
-    def spot_dollar_cost(self) -> float:
-        return sum(pool.spot_dollar_cost for pool in self.pools)
-
-    @property
-    def ondemand_dollar_cost(self) -> float:
-        return sum(pool.ondemand_dollar_cost for pool in self.pools)
-
-    @property
-    def provisioned_dollar_cost(self) -> float:
-        return sum(pool.provisioned_dollar_cost for pool in self.pools)
-
-    def utilization(self) -> float:
-        """Reserved over provisioned executor-seconds, cluster-wide."""
-        provisioned = self.provisioned_executor_seconds
-        if provisioned <= 0:
-            return 0.0
-        reserved = sum(pool.reserved_executor_seconds for pool in self.pools)
-        return reserved / provisioned
-
-    def prediction_cache_hit_rate(self) -> float:
-        stats = self._stats()
-        if stats is not None:
-            return stats.prediction_cache_hit_rate()
-        return _cache_hit_rate(self.records)
-
-    def streaming(self, relative_accuracy: float = 0.01) -> StreamingFleetStats:
-        """Cluster-wide streaming stats: each pool folded, then merged —
-        the associative-merge path a distributed collector would take.
-        A streaming serve returns its already-merged pool stats (the
-        accuracy must match the serve's, as with
-        :meth:`FleetMetrics.streaming`)."""
-        merged = StreamingFleetStats(relative_accuracy=relative_accuracy)
-        for pool in self.pools:
-            merged = merged.merge(pool.streaming(relative_accuracy))
-        return merged
-
-    def queries_per_pool(self) -> list[int]:
-        return [pool.n_queries for pool in self.pools]
+    def _dollars(self, executor_seconds: float) -> float:
+        return self.pools[0]._dollars(executor_seconds)
 
     def summary(self) -> dict[str, float]:
         """The cluster's headline numbers as a flat dict (adaptive
         serves gain the continual-learning keys, like
         :meth:`FleetMetrics.summary`)."""
-        out = {
-            "n_pools": float(self.n_pools),
-            "n_queries": float(self.n_queries),
-            "makespan_s": self.makespan,
-            "p50_latency_s": self.p50_latency,
-            "p95_latency_s": self.p95_latency,
-            "p99_latency_s": self.p99_latency,
-            "mean_queue_delay_s": self.mean_queue_delay,
-            "max_queue_delay_s": self.max_queue_delay,
-            "utilization": self.utilization(),
-            "total_executor_seconds": self.total_executor_seconds,
-            "idle_capacity_seconds": self.idle_capacity_seconds,
-            "provisioned_executor_seconds": self.provisioned_executor_seconds,
-            "total_dollar_cost": self.total_dollar_cost,
-            "provisioned_dollar_cost": self.provisioned_dollar_cost,
-            "prediction_cache_hit_rate": self.prediction_cache_hit_rate(),
-            "executor_failures": float(self.executor_failures),
-            "task_retries": float(self.task_retries),
-            "wasted_work_seconds": float(self.wasted_work_seconds),
-            "spot_executor_seconds": float(self.spot_executor_seconds),
-            "spot_dollar_cost": self.spot_dollar_cost,
-        }
-        if self.adaptive is not None:
-            out.update(self.adaptive.as_summary(self.retrain_dollar_cost))
-        return out
+        return {"n_pools": float(self.n_pools), **self._summary({})}
 
     def describe(self) -> str:
         """A human-readable cluster report with a per-pool breakdown."""
-        s = self.summary()
+        faulted = any(pool.fold.fault is not None for pool in self.pools)
         lines = [
             f"pools                 {self.n_pools}",
-            f"queries served        {self.n_queries}",
-            f"makespan              {s['makespan_s']:10.1f} s",
-            f"latency p50/p95/p99   {s['p50_latency_s']:.1f} / "
-            f"{s['p95_latency_s']:.1f} / {s['p99_latency_s']:.1f} s",
-            f"mean queueing delay   {s['mean_queue_delay_s']:10.1f} s",
-            f"max queueing delay    {s['max_queue_delay_s']:10.1f} s",
-            f"cluster utilization   {s['utilization']:10.1%}",
-            f"executor-seconds      {s['total_executor_seconds']:10.0f}",
-            f"idle capacity cost    ${self.idle_capacity_dollar_cost:9.2f}",
-            f"total cost            ${s['total_dollar_cost']:9.2f}",
-            f"provisioned cost      ${s['provisioned_dollar_cost']:9.2f}",
-            f"prediction cache hit  {s['prediction_cache_hit_rate']:10.1%}",
+            *self._describe("cluster", [], faulted),
         ]
-        if self.adaptive is not None:
-            a = self.adaptive
-            lines.append(
-                f"continual learning    gen {a.model_generation}, "
-                f"{a.retrains} retrains ({a.promotions} promoted, "
-                f"{a.rejections} rejected), {a.drift_alarms} drift alarms, "
-                f"retrain cost ${self.retrain_dollar_cost:.2f}"
-            )
-        faulted = any(
-            pool.stats.fault is not None
-            if pool.stats is not None
-            else any(r.fault_stats is not None for r in pool.records)
-            for pool in self.pools
-        )
-        if faulted:
-            stats = self.fault_stats
-            lines += [
-                f"executor failures     {stats.crashes} crashes, "
-                f"{stats.reclamations} reclamations",
-                f"task retries          {stats.task_retries} "
-                f"({s['wasted_work_seconds']:.0f} task-seconds wasted)",
-                f"spot / on-demand      {stats.spot_executor_seconds:.0f} / "
-                f"{stats.ondemand_executor_seconds:.0f} executor-seconds "
-                f"(${self.spot_dollar_cost:.2f} / "
-                f"${self.ondemand_dollar_cost:.2f})",
-            ]
         for i, pool in enumerate(self.pools):
             lines.append(
                 f"  pool {i}: {pool.n_queries:4d} queries, "

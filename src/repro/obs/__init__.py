@@ -7,10 +7,11 @@ for by an event log.  This subpackage provides the three layers:
   :class:`Tracer` protocol, and the sinks (in-memory ring buffer, JSONL
   file).  Every engine takes ``tracer=None`` by default and the off
   path is guaranteed zero-cost: no event objects, bit-identical runs.
-- :mod:`~repro.obs.metrics` — streaming counters/gauges and the
-  mergeable :class:`QuantileSketch`: bounded-memory percentiles with a
-  documented relative-error bound, the opt-in alternative to
-  :class:`~repro.fleet.metrics.FleetMetrics`' sorted-record exactness.
+- :mod:`~repro.obs.metrics` — streaming counters/gauges and
+  :class:`StreamingFleetStats`, the fold every fleet metric is read
+  from; in a streaming serve its distributions are mergeable
+  :class:`QuantileSketch` histograms, bounded-memory percentiles with a
+  documented relative-error bound.
 - :mod:`~repro.obs.analyze` — :class:`TraceAnalyzer`: per-query
   timelines, queue-delay breakdowns, pool utilization, and the
   Sparklens round-trip (a traced serve rebuilt into

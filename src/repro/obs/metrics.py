@@ -1,28 +1,36 @@
-"""Streaming metrics: counters, gauges, and sketch-backed fleet stats.
+"""Streaming metrics: counters, gauges, and the serving-stats fold.
 
-:class:`~repro.fleet.metrics.FleetMetrics` materializes every
-:class:`~repro.fleet.metrics.QueryRecord` and sorts the lot for
-percentiles — exact, but O(n) memory per serve and impossible to merge
-across shards.  This module is the opt-in streaming alternative: a
-:class:`MetricsRegistry` of named counters/gauges/sketches with an
-associative ``merge``, and :class:`StreamingFleetStats`, a
-bounded-memory accumulator over served queries whose percentile
-estimates carry the :class:`~repro.obs.sketch.QuantileSketch` accuracy
-guarantee.  Build one incrementally (``observe`` each record as it
-finishes), from a finished run (``from_records``), or shard-by-shard and
-``merge`` — all three produce the same histogram state.
+A :class:`MetricsRegistry` holds named counters, gauges and sketches
+with an associative ``merge``.  :class:`StreamingFleetStats` is the fold
+both :class:`~repro.fleet.metrics.FleetMetrics` and
+:class:`~repro.fleet.metrics.ClusterMetrics` read, in both serve modes.
+Build it incrementally (``observe`` each record as it finishes), from a
+finished run (``from_records``), or shard by shard and ``merge``.  In a
+streaming serve its distributions are
+:class:`~repro.obs.sketch.QuantileSketch` histograms: bounded memory,
+percentiles within the sketch's accuracy.  Record mode folds its records
+into :class:`ExactDistribution` lists instead
+(:meth:`StreamingFleetStats.exact`): exact, and O(n) like the records.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Protocol, Self, Sequence
+
+import numpy as np
 
 from repro.obs.sketch import QuantileSketch
 
 if TYPE_CHECKING:  # runtime import would be circular: fleet.metrics uses us
     from repro.fleet.metrics import QueryRecord
 
-__all__ = ["Counter", "Gauge", "MetricsRegistry", "StreamingFleetStats"]
+__all__ = [
+    "Counter",
+    "ExactDistribution",
+    "Gauge",
+    "MetricsRegistry",
+    "StreamingFleetStats",
+]
 
 
 class Counter:
@@ -139,37 +147,110 @@ class MetricsRegistry:
         }
 
 
+class _Distribution(Protocol):
+    """What the fold reads from a distribution (a sketch or a list)."""
+
+    def add(self, value: float) -> None: ...
+
+    @property
+    def mean(self) -> float: ...
+
+    @property
+    def max(self) -> float | None: ...
+
+    def quantile(self, q: float) -> float: ...
+
+    def merge(self, other: Self) -> Self: ...
+
+
+class ExactDistribution:
+    """An exact, list-backed distribution with the read surface of
+    :class:`~repro.obs.sketch.QuantileSketch`.
+
+    Percentiles are ``np.percentile`` and the mean is ``np.mean`` over
+    the values in insertion order, so folding a run's records in stream
+    order reproduces the record-mode numbers bit for bit.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: Sequence[float] = ()) -> None:
+        self._values = list(values)
+
+    def add(self, value: float) -> None:
+        """Insert one value."""
+        self._values.append(value)
+
+    @property
+    def count(self) -> int:
+        """Values inserted so far."""
+        return len(self._values)
+
+    @property
+    def mean(self) -> float:
+        """``np.mean`` of the values (0.0 when empty)."""
+        return float(np.mean(self._values)) if self._values else 0.0
+
+    @property
+    def max(self) -> float | None:
+        """Largest value (``None`` when empty)."""
+        return max(self._values) if self._values else None
+
+    def quantile(self, q: float) -> float:
+        """The ``np.percentile`` of the values (0.0 when empty)."""
+        return float(np.percentile(self._values, q)) if self._values else 0.0
+
+    def merge(self, other: "ExactDistribution") -> "ExactDistribution":
+        """Concatenate two distributions (inputs untouched)."""
+        return ExactDistribution(self._values + other._values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExactDistribution):
+            return NotImplemented
+        return self._values == other._values
+
+
 class StreamingFleetStats:
-    """Bounded-memory serving stats: the O(1)-per-query FleetMetrics view.
+    """The serving-stats fold: one pass over finished queries.
 
     Args:
         relative_accuracy: sketch accuracy for the latency, queue-delay,
             and run-seconds distributions.
 
     Feed it finished queries one at a time (:meth:`observe`), convert a
-    whole run at once (:meth:`from_records` — also reachable as
-    ``FleetMetrics.streaming()`` / ``ClusterMetrics.streaming()``), or
-    combine shards with :meth:`merge`.  Counts, sums, extrema, and the
-    serving window are exact; percentiles carry the sketch's relative
-    error bound (``relative_accuracy``, against the order-statistic
-    convention documented on :meth:`QuantileSketch.quantile
-    <repro.obs.sketch.QuantileSketch.quantile>` — note
-    :class:`~repro.fleet.metrics.FleetMetrics` uses ``np.percentile``'s
-    linear interpolation, so the two agree within the bound plus the gap
-    between adjacent order statistics).
+    whole run at once (:meth:`from_records`), or combine shards with
+    :meth:`merge`.  Counts, sums, extrema, and the serving window are
+    exact; sketch percentiles carry the sketch's relative error bound
+    (``relative_accuracy``, against the order-statistic convention
+    documented on :meth:`QuantileSketch.quantile
+    <repro.obs.sketch.QuantileSketch.quantile>` — record-mode metrics
+    use ``np.percentile``'s linear interpolation, so the two agree
+    within the bound plus the gap between adjacent order statistics).
     """
 
     def __init__(self, relative_accuracy: float = 0.01) -> None:
         self.relative_accuracy = relative_accuracy
-        self.latency = QuantileSketch(relative_accuracy)
-        self.queue_delay = QuantileSketch(relative_accuracy)
-        self.run_seconds = QuantileSketch(relative_accuracy)
+        self.latency: _Distribution = QuantileSketch(relative_accuracy)
+        self.queue_delay: _Distribution = QuantileSketch(relative_accuracy)
+        self.run_seconds: _Distribution = QuantileSketch(relative_accuracy)
         self.n_queries = 0
         self.total_executor_seconds = 0.0
         self.prediction_hits = 0
         self.prediction_decisions = 0
         self.first_arrival: float | None = None
         self.last_finish: float | None = None
+
+    @classmethod
+    def exact(cls, records: Iterable[QueryRecord]) -> Self:
+        """Fold a run's records, in the given order, with exact
+        :class:`ExactDistribution` distributions (record mode)."""
+        out = cls()
+        out.latency = ExactDistribution()
+        out.queue_delay = ExactDistribution()
+        out.run_seconds = ExactDistribution()
+        for record in records:
+            out.observe(record)
+        return out
 
     @classmethod
     def from_records(
@@ -224,31 +305,27 @@ class StreamingFleetStats:
         return out
 
     def __eq__(self, other: object) -> bool:
-        # Exact state equality — the multiprocess-merge determinism
-        # contract is asserted with this, so every accumulator counts.
+        # Exact state equality over every attribute, a subclass's too: the
+        # multiprocess-merge determinism contract is asserted with this.
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.relative_accuracy == other.relative_accuracy
-            and self.latency == other.latency
-            and self.queue_delay == other.queue_delay
-            and self.run_seconds == other.run_seconds
-            and self.n_queries == other.n_queries
-            and self.total_executor_seconds == other.total_executor_seconds
-            and self.prediction_hits == other.prediction_hits
-            and self.prediction_decisions == other.prediction_decisions
-            and self.first_arrival == other.first_arrival
-            and self.last_finish == other.last_finish
-        )
+        return vars(self) == vars(other)
 
     __hash__ = None  # mutable accumulator
 
     @property
+    def window(self) -> tuple[float, float]:
+        """First arrival to last completion, the span capacity is billed
+        over (``(0.0, 0.0)`` before any query)."""
+        if self.first_arrival is None or self.last_finish is None:
+            return (0.0, 0.0)
+        return (self.first_arrival, self.last_finish)
+
+    @property
     def makespan(self) -> float:
         """First arrival to last completion (exact)."""
-        if self.first_arrival is None or self.last_finish is None:
-            return 0.0
-        return self.last_finish - self.first_arrival
+        start, end = self.window
+        return end - start
 
     def prediction_cache_hit_rate(self) -> float:
         """Fraction of predictive decisions served from the memo cache."""

@@ -6,9 +6,12 @@ O(1)-memory contract dying one line at a time.
 """
 
 import textwrap
+from pathlib import Path
 
 from repro.analysis.checkers import StreamingRetentionChecker
-from repro.analysis.config import AnalysisConfig
+from repro.analysis.config import AnalysisConfig, load_config
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 KNOWN_BAD = textwrap.dedent(
     """
@@ -75,3 +78,59 @@ class TestStreamingRetention:
             )
             == []
         )
+
+
+DICT_CACHE = textwrap.dedent(
+    """
+    class PredictionService:
+        def allocate(self, key, decision):
+            self._decisions[key] = decision        # plain dict: grows
+            self._memo.put(key, decision)          # unbounded put
+            self._decisions[key] += 1              # still a store
+            del self._decisions[key]               # shrinking is fine
+            local = {}
+            local[key] = decision                  # local temporary
+    """
+)
+
+
+class TestSubscriptStores:
+    """Dict caches grow by ``self.x[k] = v`` or ``put``, not by
+    ``append`` — the decision cache grew that way before it was an
+    LRU."""
+
+    SERVICE = "repro.fleet.prediction:PredictionService"
+
+    def test_plain_dict_cache_is_flagged(self, check_source):
+        config = AnalysisConfig.from_mapping({"streaming-classes": [self.SERVICE]})
+        findings = check_source(
+            StreamingRetentionChecker,
+            DICT_CACHE,
+            "repro.fleet.prediction",
+            config=config,
+        )
+        assert [f.line for f in findings] == [4, 5, 6]
+        assert "self._decisions" in findings[0].message
+
+    def test_lru_backed_service_is_clean(self, check_source):
+        config = load_config(str(REPO_ROOT))
+        assert self.SERVICE in config.streaming_classes
+        source = (REPO_ROOT / "src/repro/fleet/prediction.py").read_text()
+        assert (
+            check_source(
+                StreamingRetentionChecker,
+                source,
+                "repro.fleet.prediction",
+                config=config,
+            )
+            == []
+        )
+        # Without the LRU allowlist its put() calls would be findings.
+        bare = AnalysisConfig.from_mapping({"streaming-classes": [self.SERVICE]})
+        flagged = check_source(
+            StreamingRetentionChecker, source, "repro.fleet.prediction", config=bare
+        )
+        assert {f.message.split()[4] for f in flagged} == {
+            "self._cache",
+            "self._features_by_query",
+        }

@@ -3,13 +3,23 @@ and the ClusterMetrics rollups."""
 
 import pytest
 
+from repro.engine.faults import FaultPlan, SpotMarket
 from repro.engine.skyline import Skyline
+from repro.fleet import (
+    AutoscalerConfig,
+    FleetConfig,
+    PoolSpec,
+    ShardedFleet,
+    poisson_arrivals,
+    static_allocator,
+)
 from repro.fleet.metrics import (
     DEFAULT_PRICE_PER_CORE_HOUR,
     ClusterMetrics,
     FleetMetrics,
     QueryRecord,
 )
+from repro.workloads.generator import Workload
 
 
 def record(arrival=0.0, admit=0.0, finish=100.0, auc=800.0, cached=None):
@@ -200,3 +210,59 @@ class TestClusterRollups:
         assert cluster.capacity_respected
         pool_a.pool_skyline.record(300.0, 99)
         assert not cluster.capacity_respected
+
+
+class TestRollupsAreSequential:
+    """Totals are plain ``+=`` folds: a pool's in stream order, the
+    cluster's in pool order.  Builtin ``sum()`` compensates float
+    rounding from Python 3.12, so a total built on it would move its
+    last bits between interpreters."""
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        qids = ("q1", "q2", "q3", "q5", "q94")
+        plan = FaultPlan(
+            seed=5,
+            crash_rate=1 / 5000.0,
+            spot=SpotMarket(fraction=0.5, discount=0.35, reclaim_rate=1 / 2000.0),
+        )
+        autoscaled = PoolSpec(
+            8, autoscaler=AutoscalerConfig(min_capacity=4, max_capacity=32)
+        )
+        return ShardedFleet(
+            Workload(scale_factor=50, query_ids=qids),
+            [autoscaled, 16, 24],
+            static_allocator(8),
+            config=FleetConfig(faults=plan),
+        ).serve(poisson_arrivals(qids, n_queries=90, rate_qps=1.5, seed=7))
+
+    def test_pool_totals_fold_in_stream_order(self, cluster):
+        for pool in cluster.pools:
+            occupancy = billed = 0.0
+            for r in pool.records:
+                occupancy += r.auc
+                billed += r.fault_stats.billed_executor_seconds
+            assert pool.total_executor_seconds == occupancy
+            assert pool.billed_occupancy_seconds == billed
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "total_executor_seconds",
+            "billed_occupancy_seconds",
+            "provisioned_executor_seconds",
+            "reserved_executor_seconds",
+            "idle_capacity_seconds",
+            "idle_capacity_dollar_cost",
+            "spot_dollar_cost",
+            "ondemand_dollar_cost",
+            "provisioned_dollar_cost",
+            "total_dollar_cost",
+        ],
+    )
+    def test_cluster_totals_fold_in_pool_order(self, cluster, name):
+        total = 0.0
+        for pool in cluster.pools:
+            total += getattr(pool, name)
+        assert getattr(cluster, name) == total
+        assert total > 0.0

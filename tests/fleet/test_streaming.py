@@ -23,7 +23,7 @@ from repro.fleet import (
     read_spooled_records,
     static_allocator,
 )
-from repro.fleet.metrics import QueryRecord
+from repro.fleet.metrics import QueryRecord, SkylineTracker
 from repro.workloads.generator import Workload
 
 QIDS = ("q1", "q2", "q3", "q5", "q94")
@@ -47,6 +47,13 @@ class MicroWorkload:
             "m2": StageGraph(
                 stages=[Stage(stage_id=0, num_tasks=3, task_seconds=0.8)],
                 query_id="m2",
+            ),
+            "m3": StageGraph(
+                stages=[
+                    Stage(stage_id=0, num_tasks=4, task_seconds=0.5),
+                    Stage(stage_id=1, num_tasks=2, task_seconds=1.5, dependencies=[0]),
+                ],
+                query_id="m3",
             ),
         }
 
@@ -120,7 +127,10 @@ class TestConfigNormalization:
             workload, capacity=16, allocator=static_allocator(4)
         ).serve(poisson_arrivals(QIDS, n_queries=10, rate_qps=1.0, seed=0))
         assert len(metrics.records) == 10
-        assert metrics.stats is None
+        # Record mode's fold is exact: np.percentile over the records.
+        assert metrics.p95_latency == np.percentile(
+            [r.latency for r in metrics.records], 95
+        )
 
 
 class TestStreamValidation:
@@ -284,6 +294,114 @@ class TestClusterParity:
             sr["idle_capacity_seconds"]
         )
         assert ss["total_dollar_cost"] == pytest.approx(sr["total_dollar_cost"])
+
+
+class TestLateSteps:
+    """A pool can step after its last finish: a grant batch still
+    provisioning when the query ends is handed back on arrival.  The
+    serving window ends at the last finish, so those steps must not be
+    billed."""
+
+    def serve(self, streaming):
+        # 2 tasks x 1 s on 8 executors: the query finishes at t=3, and
+        # the second grant batch of 4 executors arrives at t=6.
+        return FleetEngine(
+            MicroWorkload(),
+            capacity=16,
+            allocator=static_allocator(8),
+            config=FleetConfig(idle_release_timeout=None, streaming=streaming),
+        ).serve([QueryArrival(0, "m1", 0, 0.0)])
+
+    def test_both_modes_bill_the_window(self):
+        recorded, streamed = self.serve(False), self.serve(True)
+        assert recorded.reserved_executor_seconds == 24.0
+        assert recorded.utilization() == 0.5
+        assert streamed.reserved_executor_seconds == 24.0
+        assert streamed.utilization() == 0.5
+
+    def test_tracker_area_exact_past_its_last_step(self):
+        tracker = SkylineTracker()
+        tracker.record(0.0, 8)
+        tracker.record(3.0, 4)
+        tracker.mark_finish()
+        tracker.record(6.0, 0)
+        assert tracker.window_auc(0.0, 3.0) == 24.0
+        assert tracker.window_auc(0.0, 4.5) == 30.0
+        assert tracker.window_auc(0.0, 8.0) == 36.0
+        with pytest.raises(ValueError, match="last finish"):
+            tracker.auc_to(2.0)
+
+    def test_tracker_keeps_only_steps_since_the_last_finish(self):
+        tracker = SkylineTracker()
+        for i in range(1, 1000):
+            tracker.record(float(i), i % 7)
+            if i % 10 == 0:
+                tracker.mark_finish()
+                assert len(tracker._since_finish) == 1
+        assert len(tracker._since_finish) == 10
+
+
+def assert_modes_agree(streamed, recorded, records):
+    """Counts, extrema and peaks exact; float totals, utilization and
+    costs within 1e-9 relative; percentiles inside the sketch
+    bracket."""
+    sr, ss = recorded.summary(), streamed.summary()
+    assert set(sr) == set(ss)
+    latencies = [r.latency for r in records]
+    for key, value in sr.items():
+        if key.startswith("p") and key.endswith("_latency_s") and latencies:
+            lo, hi = sketch_bracket(latencies, int(key[1:-10]))
+            assert lo <= ss[key] <= hi, (key, ss[key], lo, hi)
+        elif key in (
+            "n_pools",
+            "n_queries",
+            "makespan_s",
+            "max_queue_delay_s",
+            "peak_pool_usage",
+            "executor_failures",
+            "task_retries",
+        ):
+            assert ss[key] == value, key
+        else:
+            assert ss[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
+
+
+class TestRecordStreamingDifferential:
+    """Record and streaming serves read the same fold: they may differ
+    only where a sketch stands in for the exact distribution."""
+
+    @given(
+        gaps=st.lists(
+            st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=15
+        ),
+        picks=st.lists(st.sampled_from(("m1", "m2", "m3")), min_size=15),
+        budget=st.integers(min_value=1, max_value=8),
+        capacities=st.lists(
+            st.integers(min_value=2, max_value=12), min_size=1, max_size=3
+        ),
+        idle_release=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_modes_agree(self, gaps, picks, budget, capacities, idle_release):
+        arrivals = []
+        t = 0.0
+        for i, gap in enumerate(gaps):
+            t += gap
+            arrivals.append(QueryArrival(i, picks[i], 0, t))
+
+        def serve(streaming):
+            config = FleetConfig(
+                idle_release_timeout=1.0 if idle_release else None,
+                streaming=streaming,
+            )
+            return ShardedFleet(
+                MicroWorkload(), capacities, static_allocator(budget), config=config
+            ).serve(arrivals)
+
+        recorded, streamed = serve(False), serve(True)
+        assert_modes_agree(streamed, recorded, recorded.records)
+        for got, want in zip(streamed.pools, recorded.pools):
+            assert_modes_agree(got, want, want.records)
 
 
 class TestSpooling:

@@ -68,7 +68,9 @@ class TestStreamingFleetStats:
         within the documented relative-accuracy bound (plus the gap
         between neighbouring order statistics, which np.percentile's
         interpolation can span)."""
-        streaming = fleet_metrics.streaming(relative_accuracy=0.01)
+        streaming = StreamingFleetStats.from_records(
+            fleet_metrics.records, relative_accuracy=0.01
+        )
         summary = streaming.summary()
         exact = fleet_metrics.summary()
         assert summary["n_queries"] == exact["n_queries"]
@@ -124,6 +126,6 @@ class TestStreamingFleetStats:
         cluster = ShardedFleet(
             workload_small, [PoolSpec(12), PoolSpec(12)], static_allocator(4)
         ).serve(arrivals)
-        streaming = cluster.streaming()
+        streaming = StreamingFleetStats.from_records(cluster.records)
         assert streaming.n_queries == cluster.n_queries
         assert np.isclose(streaming.makespan, cluster.makespan)
