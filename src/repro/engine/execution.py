@@ -45,6 +45,7 @@ The simulation is deterministic.  Run-to-run variance (the paper's
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -78,13 +79,19 @@ class SchedulerConfig:
         max_spill_factor: cap on the memory-pressure slowdown.
         coordination_coefficient: per-task slowdown per 47 extra executors.
         tick_interval: policy polling / idle-check period (Spark polls at
-            ~1 s granularity too).
+            ~1 s granularity too); finite and positive.
     """
 
     spill_coefficient: float = 0.8
     max_spill_factor: float = 3.5
     coordination_coefficient: float = 0.12
     tick_interval: float = 1.0
+
+    def __post_init__(self) -> None:
+        # A zero interval re-ticks at the same instant forever; NaN
+        # breaks the event heap's time order.
+        if not 0.0 < self.tick_interval < math.inf:
+            raise ValueError("tick_interval must be finite and positive")
 
 
 DEFAULT_SCHEDULER_CONFIG = SchedulerConfig()

@@ -24,6 +24,7 @@ top by the experiment harness, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,8 +116,8 @@ class Stage:
     def __post_init__(self) -> None:
         if self.num_tasks < 1:
             raise ValueError("stages must have at least one task")
-        if self.task_seconds <= 0:
-            raise ValueError("task duration must be positive")
+        if not 0.0 < self.task_seconds < math.inf:
+            raise ValueError("task duration must be positive and finite")
 
     def task_durations(self) -> np.ndarray:
         """Deterministic per-task durations including the skew profile.

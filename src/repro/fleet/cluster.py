@@ -16,20 +16,23 @@ them:
   cooldown on the way down — and every provisioned executor-second,
   idle or not, lands on the bill.
 
-This module holds the fleet's one serve loop.
-:class:`~repro.fleet.engine.FleetEngine` is a sharded fleet of **one
-statically provisioned pool** behind the default round-robin router, so
-single-pool and N-pool serves run the same code; the multiprocess
-driver (:mod:`repro.fleet.parallel`) shares the event dispatch
-(:meth:`PoolRuntime.dispatch
-<repro.fleet.engine.PoolRuntime.dispatch>`), the allocator step
-(:func:`~repro.fleet.engine.allocator_decision`), the router views and
-the metric roll-up defined here.  With the sharded-of-one parity now
-holding by construction, two oracles check the loop against independent
-references: a fleet of one query on an uncontended pool reproduces
-``simulate_query`` bit-for-bit (``tests/engine/test_execution_parity.py``),
-and contended single-pool serves are pinned to recorded summaries and
-record digests (``tests/fleet/test_engine_golden.py``).
+This module holds the fleet's one serve loop, :class:`_ServeLoop`: the
+event heap, the tick chain, pool-event dispatch
+(:meth:`PoolRuntime.dispatch <repro.fleet.engine.PoolRuntime.dispatch>`),
+autoscaler steps, the stall guard and finalization.  Two drivers feed
+it.  :meth:`ShardedFleet.serve` feeds it arrivals, then decides
+(:func:`~repro.fleet.engine.allocator_decision`) and routes each query
+on the loop's own heap; :class:`~repro.fleet.engine.FleetEngine` is a
+sharded fleet of **one statically provisioned pool** behind the default
+round-robin router.  Each worker of the multiprocess driver
+(:mod:`repro.fleet.parallel`) feeds it one pool's routed submits, its
+tick chain anchored at the cluster's first admission.  With the
+sharded-of-one parity holding by construction, two oracles check the
+loop against independent references: a fleet of one query on an
+uncontended pool reproduces ``simulate_query`` bit-for-bit
+(``tests/engine/test_execution_parity.py``), and contended single-pool
+serves are pinned to recorded summaries and record digests
+(``tests/fleet/test_engine_golden.py``).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.engine.cluster import Cluster
 from repro.engine.execution import CompiledPlan
@@ -54,7 +57,6 @@ from repro.fleet.engine import (
 from repro.fleet.metrics import ClusterMetrics, FleetMetrics
 from repro.obs.trace import TraceEvent, Tracer
 from repro.fleet.routing import (
-    DEFAULT_RUNTIME_ESTIMATE_S,
     PoolView,
     Router,
     RoundRobinRouter,
@@ -100,18 +102,6 @@ class PoolSpec:
         return (
             self.capacity if self.autoscaler is None else self.autoscaler.max_capacity
         )
-
-
-def pool_specs(pools: Sequence[PoolSpec | int]) -> list[PoolSpec]:
-    """Normalize a driver's ``pools`` argument (plain ints are
-    statically provisioned pools of that capacity)."""
-    specs = [
-        spec if isinstance(spec, PoolSpec) else PoolSpec(capacity=int(spec))
-        for spec in pools
-    ]
-    if not specs:
-        raise ValueError("a sharded fleet needs at least one pool")
-    return specs
 
 
 def static_views(specs: Sequence[PoolSpec]) -> list[PoolView]:
@@ -198,7 +188,12 @@ class ShardedFleet:
         tracer: Tracer | None = None,
     ) -> None:
         self.workload = workload
-        self.pools = pool_specs(pools)
+        self.pools = [
+            spec if isinstance(spec, PoolSpec) else PoolSpec(capacity=int(spec))
+            for spec in pools
+        ]
+        if not self.pools:
+            raise ValueError("a sharded fleet needs at least one pool")
         self.allocator = allocator
         self.router: Router = router if router is not None else RoundRobinRouter()
         self.cluster = cluster
@@ -229,95 +224,30 @@ class ShardedFleet:
         carries per-pool sketches instead of records.
         """
         config = self.config
-        record_mode = config.streaming is None
         tracer = self.tracer
-        ticking = False
-
-        counter = itertools.count()
-        # (time, class, seq, kind, pool, q, payload).  Class 0 is an
-        # arrival keyed by its stream position, class 1 everything else
-        # keyed by the push counter: same-instant ties break
-        # arrivals-first in stream order, then in push order.  Arrivals
-        # enter the heap one at a time, in time order, the next when the
-        # previous fires — the same total order as pushing them all up
-        # front, with O(1) arrivals in flight.
-        events: list[tuple[float, int, int, str, int, int, object]] = []
-
-        def push(
-            pool: int, time: float, kind: str, q: int = -1, payload: object = None
-        ) -> None:
-            heapq.heappush(events, (time, 1, next(counter), kind, pool, q, payload))
-
-        # Any autoscaled pool needs the tick chain even when the fleet
-        # config itself asks for no idle release or scaling.
-        wants_ticks = config.wants_ticks or any(
-            spec.autoscaler is not None for spec in self.pools
+        router = self.router
+        loop = _ServeLoop(
+            self.workload,
+            list(enumerate(self.pools)),
+            self.cluster,
+            config,
+            self._compiled,
+            tracer,
         )
-
-        def start_ticks(now: float) -> None:
-            # One tick chain for the whole cluster, anchored at the first
-            # admission anywhere — matching the single-query scheduler's
-            # ticks at k·tick_interval from query submission.
-            nonlocal ticking
-            if wants_ticks and not ticking:
-                ticking = True
-                push(-1, now + config.tick_interval, "tick")
-
-        runtimes: list[PoolRuntime] = []
-        scalers: dict[int, PoolAutoscaler] = {}
-        for i, spec in enumerate(self.pools):
-            runtime = PoolRuntime(
-                workload=self.workload,
-                capacity=spec.capacity,
-                cluster=self.cluster,
-                admission=spec.admission,
-                config=config,
-                # A partial, not a lambda: no extra Python frame per push.
-                push=functools.partial(push, i),
-                start_ticks=start_ticks,
-                compiled=self._compiled,
-                max_capacity=spec.max_capacity,
-                tracer=tracer,
-                pool_index=i,
-            )
-            if spec.autoscaler is not None:
-                runtime.track_capacity()
-                scalers[i] = PoolAutoscaler(spec.autoscaler, tracer=tracer, pool=i)
-            runtimes.append(runtime)
-
+        runtimes = loop.runtimes
+        push = loop.push
+        record_mode = config.streaming is None
+        placed: list[int] = []
         if record_mode:
-            # Replay the stream time-sorted (stable: ties keep stream
-            # order) under its stream positions.
-            feed = iter(
-                sorted(
-                    enumerate(validate_stream(arrivals)),
-                    key=lambda entry: entry[1].arrival_time,
-                )
-            )
+            # Replay the stream time-sorted (ties keep stream order)
+            # under its stream positions.
+            stream = list(arrivals)
+            if len({a.index for a in stream}) != len(stream):
+                raise ValueError("arrival stream has duplicate indices")
+            inputs = iter(sorted((a.arrival_time, q, a) for q, a in enumerate(stream)))
+            placed = [-1] * len(stream)
         else:
-            feed = enumerate(arrivals)
-        total = 0
-        finished = 0
-        exhausted = False
-        last_arrival_t = 0.0
-
-        def pull_arrival() -> None:
-            # Keep exactly one unprocessed arrival in the heap; the next
-            # is pulled when this one's arrive event fires.
-            nonlocal total, exhausted, last_arrival_t
-            for pos, arrival in feed:
-                t = arrival.arrival_time
-                if t < last_arrival_t:
-                    raise ValueError("streaming arrival streams must be time-ordered")
-                last_arrival_t = t
-                heapq.heappush(events, (t, 0, pos, "arrive", -1, pos, arrival))
-                total += 1
-                return
-            exhausted = True
-
-        pull_arrival()
-        if total == 0:
-            raise ValueError("cannot serve an empty arrival stream")
+            inputs = ((a.arrival_time, q, a) for q, a in enumerate(arrivals))
         if tracer is not None:
             tracer.emit(
                 TraceEvent(
@@ -330,150 +260,74 @@ class ShardedFleet:
                 )
             )
 
-        decisions: dict[int, tuple[int, bool | None, float, float | None, dict]] = {}
-        pool_of: dict[int, int] = {}
+        allocator = self.allocator
+        workload = self.workload
+        max_budget = self.max_budget
 
-        def view(i: int) -> PoolView:
-            runtime = runtimes[i]
-            queued_work = 0.0
-            for request in runtime.arbiter.queued_requests:
-                estimate = decisions[request.query_index][3]
-                if estimate is None:
-                    estimate = DEFAULT_RUNTIME_ESTIMATE_S
-                queued_work += request.executors * estimate
-            return PoolView(
-                index=i,
-                capacity=runtime.capacity,
-                max_capacity=runtime.max_capacity,
-                free=runtime.free,
-                in_use=runtime.in_use,
-                queue_length=runtime.queue_length,
-                queued_executors=runtime.arbiter.queued_executors,
-                queued_work_seconds=queued_work,
-                active_queries=runtime.active_queries,
-                oldest_submit_time=runtime.arbiter.oldest_submit_time,
+        def arrive(now: float, q: int, arrival: QueryArrival) -> None:
+            decision = allocator_decision(
+                allocator, workload, arrival.query_id, max_budget
             )
+            _, cached, seconds, estimate, notes = decision
+            if tracer is not None:
+                tracer.emit(TraceEvent(now, "query_arrive", -1, q, arrival.query_id))
+                tracer.emit(
+                    TraceEvent(
+                        now,
+                        "query_predict",
+                        -1,
+                        q,
+                        arrival.query_id,
+                        {
+                            "executors": notes["predicted_executors"],
+                            "cached": cached,
+                            "seconds": seconds,
+                            "estimated_runtime_s": estimate,
+                            "policy": notes["policy"],
+                        },
+                    )
+                )
+            delay = seconds if config.charge_prediction_overhead else 0.0
+            push(-1, now + delay, "submit", q, (arrival, decision))
 
         # Routers that omit ``uses_pool_state`` are assumed stateful.
-        live_views = getattr(self.router, "uses_pool_state", True)
+        live_views = getattr(router, "uses_pool_state", True)
         frozen_views = static_views(self.pools)
 
-        def scalers_can_act() -> bool:
-            """Whether any autoscaler can still unblock queued work —
-            distinguishes "waiting for a queue-delay-triggered scale-up"
-            from a genuine stall."""
-            for i, scaler in scalers.items():
-                runtime = runtimes[i]
-                provisioned = runtime.capacity + scaler.pending
-                demand = runtime.in_use + runtime.arbiter.queued_executors
-                if demand > provisioned and provisioned < scaler.config.max_capacity:
-                    return True
-            return False
-
-        # --- main loop ---------------------------------------------------
-        while events:
-            now, _, _, kind, pool, q, payload = heapq.heappop(events)
-            if kind == "arrive":
-                decision = allocator_decision(
-                    self.allocator, self.workload, payload.query_id, self.max_budget
-                )
-                decisions[q] = decision
-                _, cached, seconds, estimate, notes = decision
-                if tracer is not None:
-                    tracer.emit(
-                        TraceEvent(now, "query_arrive", -1, q, payload.query_id)
+        def submit(now: float, q: int, payload: tuple) -> None:
+            arrival, (budget, cached, seconds, estimate, notes) = payload
+            chosen = route(
+                router,
+                RoutingRequest(
+                    query_id=arrival.query_id,
+                    app_id=arrival.app_id,
+                    budget=budget,
+                    estimated_runtime_seconds=estimate,
+                    submit_time=now,
+                ),
+                [pool.view() for pool in runtimes] if live_views else frozen_views,
+            )
+            if record_mode:
+                placed[q] = chosen
+            if tracer is not None:
+                tracer.emit(
+                    TraceEvent(
+                        now,
+                        "query_route",
+                        chosen,
+                        q,
+                        arrival.query_id,
+                        {"router": router.name},
                     )
-                    tracer.emit(
-                        TraceEvent(
-                            now,
-                            "query_predict",
-                            -1,
-                            q,
-                            payload.query_id,
-                            {
-                                "executors": notes["predicted_executors"],
-                                "cached": cached,
-                                "seconds": seconds,
-                                "estimated_runtime_s": estimate,
-                                "policy": notes["policy"],
-                            },
-                        )
-                    )
-                delay = seconds if config.charge_prediction_overhead else 0.0
-                push(-1, now + delay, "submit", q, payload)
-                if not exhausted:
-                    pull_arrival()
-            elif kind == "submit":
-                arrival = payload
-                budget, cached, seconds, estimate, notes = decisions[q]
-                chosen = route(
-                    self.router,
-                    RoutingRequest(
-                        query_id=arrival.query_id,
-                        app_id=arrival.app_id,
-                        budget=budget,
-                        estimated_runtime_seconds=estimate,
-                        submit_time=now,
-                    ),
-                    (
-                        [view(i) for i in range(self.n_pools)]
-                        if live_views
-                        else frozen_views
-                    ),
                 )
-                if record_mode:
-                    pool_of[q] = chosen
-                if tracer is not None:
-                    tracer.emit(
-                        TraceEvent(
-                            now,
-                            "query_route",
-                            chosen,
-                            q,
-                            arrival.query_id,
-                            {"router": self.router.name},
-                        )
-                    )
-                runtimes[chosen].submit(
-                    now, q, arrival, budget, cached, seconds, notes, estimate
-                )
-            elif kind == "tick":
-                for runtime in runtimes:
-                    runtime.on_tick(now)
-                for i, scaler in scalers.items():
-                    delta = scaler.evaluate(now, view(i))
-                    if delta > 0:
-                        lag = scaler.config.scale_up_lag_s
-                        push(i, now + lag, "scale_online", -1, delta)
-                    elif delta < 0:
-                        runtimes[i].resize(now, runtimes[i].capacity + delta)
-                if finished < total or not exhausted:
-                    if not events and not scalers_can_act():
-                        # Stall guard: the tick chain is the only thing
-                        # left, so no run will ever release or acquire
-                        # capacity again — without this the ticks would
-                        # spin forever.  (Unreachable while the arrival
-                        # stream is live: its next arrive event is in the
-                        # heap.)
-                        _raise_stalled(runtimes, total - finished)
-                    push(-1, now + config.tick_interval, "tick")
-            elif kind == "scale_online":
-                scalers[pool].capacity_online(now, payload)
-                runtimes[pool].resize(now, runtimes[pool].capacity + payload)
-            elif runtimes[pool].dispatch(now, kind, q, payload):
-                finished += 1
-                # The routing view only inspects still-queued requests,
-                # so a finished query's decision can go: the memo stays
-                # O(in-flight) instead of O(stream).
-                del decisions[q]
+            runtimes[chosen].submit(
+                now, q, arrival, budget, cached, seconds, notes, estimate
+            )
 
-        if finished < total:
-            _raise_stalled(runtimes, total - finished)
-
-        metrics = cluster_metrics(
-            [runtime.finalize() for runtime in runtimes],
-            [pool_of[q] for q in range(total)] if record_mode else [],
-        )
+        pools, total = loop.run(inputs, "arrive", {"arrive": arrive, "submit": submit})
+        if total == 0:
+            raise ValueError("cannot serve an empty arrival stream")
+        metrics = cluster_metrics(pools, placed)
         if tracer is not None:
             end = metrics.pools[0].serving_window[1]
             tracer.emit(TraceEvent(end, "serve_end", -1, -1, None, {"queries": total}))
@@ -488,29 +342,205 @@ class ShardedFleet:
         return metrics
 
 
-def validate_stream(arrivals: Iterable[QueryArrival]) -> list[QueryArrival]:
-    """The record-mode arrival-stream checks."""
-    stream = list(arrivals)
-    if not stream:
-        raise ValueError("cannot serve an empty arrival stream")
-    if len({a.index for a in stream}) != len(stream):
-        raise ValueError("arrival stream has duplicate indices")
-    return stream
+class _ServeLoop:
+    """The fleet's one serve loop: pool runtimes on one event heap.
+
+    Heap entries are ``(time, class, seq, kind, pool, q, payload)``.
+    Class 0 is an *input* (an arrival, or a routed submit in a shard
+    worker) keyed by its stream position, class 1 everything else keyed
+    by the push counter: same-instant ties break inputs-first in stream
+    order, then in push order.  Inputs enter the heap one at a time, in
+    time order, the next when the previous fires — the same total order
+    as pushing them all up front, with O(1) inputs in flight.  An event
+    with ``pool >= 0`` is that pool's (:meth:`PoolRuntime.dispatch`);
+    the loop itself handles ``tick`` and ``scale_online``, and hands
+    every other kind to the caller's handler for it.
+
+    :meth:`ShardedFleet.serve` feeds it arrivals;
+    :mod:`repro.fleet.parallel` shard workers feed it their pool's
+    routed submits.
+
+    Args:
+        workload: supplies plans and compiled stage graphs per query id.
+        pools: ``(pool index, spec)`` for each pool this loop serves,
+            in heap order (the index is what the runtime stamps on its
+            events and spool file).
+        cluster: node/executor shapes and provisioning lag (shared).
+        config: fleet knobs (shared by every pool).
+        compiled: compile-once plan memo, shared by every pool.
+        tracer: optional tracer for the runtimes and autoscalers.
+    """
+
+    def __init__(
+        self,
+        workload: Workload,
+        pools: Sequence[tuple[int, PoolSpec]],
+        cluster: Cluster,
+        config: FleetConfig,
+        compiled: dict[str, CompiledPlan],
+        tracer: Tracer | None = None,
+    ) -> None:
+        self.config = config
+        counter = itertools.count()
+        events: list[tuple[float, int, int, str, int, int, object]] = []
+        self.events = events
+
+        def push(
+            pool: int, time: float, kind: str, q: int = -1, payload: object = None
+        ) -> None:
+            heapq.heappush(events, (time, 1, next(counter), kind, pool, q, payload))
+
+        self.push = push
+        # Any autoscaled pool needs the tick chain even when the fleet
+        # config itself asks for no idle release or scaling.
+        wants_ticks = config.wants_ticks or any(
+            spec.autoscaler is not None for _, spec in pools
+        )
+        ticking = False
+
+        def start_ticks(now: float) -> None:
+            # The one tick chain, started at now + tick_interval.  A
+            # cluster anchors it at the first admission anywhere —
+            # matching the single-query scheduler's ticks at
+            # k·tick_interval from query submission — and advances it by
+            # repeated float addition.  A closure, not a method: every
+            # runtime holds it, and a bound method would make loop and
+            # runtimes a reference cycle that keeps a finished serve's
+            # records alive until a full garbage collection.
+            nonlocal ticking
+            if wants_ticks and not ticking:
+                ticking = True
+                push(-1, now + config.tick_interval, "tick")
+
+        self.start_ticks = start_ticks
+        self.runtimes: list[PoolRuntime] = []
+        self.scalers: dict[int, PoolAutoscaler] = {}
+        for local, (index, spec) in enumerate(pools):
+            runtime = PoolRuntime(
+                workload=workload,
+                capacity=spec.capacity,
+                cluster=cluster,
+                admission=spec.admission,
+                config=config,
+                # A partial, not a lambda: no extra Python frame per push.
+                push=functools.partial(push, local),
+                start_ticks=start_ticks,
+                compiled=compiled,
+                max_capacity=spec.max_capacity,
+                tracer=tracer,
+                pool_index=index,
+            )
+            if spec.autoscaler is not None:
+                runtime.track_capacity()
+                self.scalers[local] = PoolAutoscaler(
+                    spec.autoscaler, tracer=tracer, pool=index
+                )
+            self.runtimes.append(runtime)
+
+    def scalers_can_act(self) -> bool:
+        """Whether any autoscaler can still unblock queued work —
+        distinguishes "waiting for a queue-delay-triggered scale-up"
+        from a genuine stall."""
+        for i, scaler in self.scalers.items():
+            arbiter = self.runtimes[i].arbiter
+            provisioned = arbiter.capacity + scaler.pending
+            demand = arbiter.in_use + arbiter.queued_executors
+            if demand > provisioned and provisioned < scaler.config.max_capacity:
+                return True
+        return False
+
+    def run(
+        self,
+        inputs: Iterator[tuple[float, int, object]],
+        kind: str,
+        handlers: dict[str, Callable[[float, int, Any], None]],
+        anchor: float | None = None,
+    ) -> tuple[list[FleetMetrics], int]:
+        """Serve ``inputs`` to the end; returns each pool's finalized
+        metrics and the number of inputs served.
+
+        ``inputs`` yields time-ordered ``(time, stream position,
+        payload)`` triples, each pushed as a ``kind`` event; ``handlers``
+        maps every non-pool event kind the inputs produce to its
+        ``handler(now, q, payload)``.  ``anchor`` starts the tick chain
+        there (the cluster's first admission) unless this loop's own
+        first input admits at that instant and starts it itself.
+        """
+        events = self.events
+        runtimes = self.runtimes
+        scalers = self.scalers
+        push = self.push
+        interval = self.config.tick_interval
+        total = 0
+        finished = 0
+        exhausted = False
+        last_t = 0.0
+
+        def pull() -> None:
+            # Keep exactly one unprocessed input in the heap; the next
+            # is pulled when this one fires.
+            nonlocal total, exhausted, last_t
+            for t, q, payload in inputs:
+                if t < last_t:
+                    raise ValueError("streaming arrival streams must be time-ordered")
+                last_t = t
+                heapq.heappush(events, (t, 0, q, kind, -1, q, payload))
+                total += 1
+                return
+            exhausted = True
+
+        pull()
+        if anchor is not None and not exhausted and events[0][0] > anchor:
+            self.start_ticks(anchor)
+        while events:
+            now, cls, _, event, pool, q, payload = heapq.heappop(events)
+            if pool >= 0:
+                if runtimes[pool].dispatch(now, event, q, payload):
+                    finished += 1
+            elif event == "tick":
+                for runtime in runtimes:
+                    runtime.on_tick(now)
+                for i, scaler in scalers.items():
+                    delta = scaler.evaluate(now, runtimes[i].view())
+                    if delta > 0:
+                        lag = scaler.config.scale_up_lag_s
+                        push(-1, now + lag, "scale_online", i, delta)
+                    elif delta < 0:
+                        runtimes[i].resize(now, delta)
+                if finished < total or not exhausted:
+                    if not events and not self.scalers_can_act():
+                        # Stall guard: the tick chain is the only thing
+                        # left, so no run will ever release or acquire
+                        # capacity again — without this the ticks would
+                        # spin forever.  (Unreachable while inputs are
+                        # live: the next one is in the heap.)
+                        _raise_stalled(runtimes, total - finished)
+                    push(-1, now + interval, "tick")
+            elif event == "scale_online":
+                scalers[q].capacity_online(now, payload)
+                runtimes[q].resize(now, payload)
+            else:
+                handlers[event](now, q, payload)
+                if cls == 0 and not exhausted:
+                    pull()
+
+        if finished < total:
+            _raise_stalled(runtimes, total - finished)
+        return [runtime.finalize() for runtime in runtimes], total
 
 
 def _raise_stalled(runtimes: Sequence[PoolRuntime], unfinished: int) -> None:
-    """Report a stall: a queue nothing will admit (named for the worst
-    pool), or admitted queries that hold and will acquire no executors."""
-    worst = max(runtimes, key=lambda runtime: runtime.queue_length)
-    if worst.queue_length > 0:
+    """Report a stall: a queue nothing will admit (the longest named),
+    or admitted queries that hold and will acquire no executors."""
+    worst = max(runtime.arbiter.queue_length for runtime in runtimes)
+    if worst > 0:
         raise RuntimeError(
-            f"admission stalled: {worst.queue_length} queued requests, "
+            f"admission stalled: {worst} queued requests, "
             "an idle pool, and a policy that admits none of them"
         )
     running = {
-        i: runtime.unfinished_queries()
-        for i, runtime in enumerate(runtimes)
-        if runtime.unfinished_queries()
+        runtime.pool_index: [q for q, run in runtime.runs.items() if not run.finished]
+        for runtime in runtimes
     }
     raise RuntimeError(
         f"fleet stalled: {unfinished} admitted queries hold no executors, "

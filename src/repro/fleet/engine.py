@@ -14,14 +14,16 @@ only the fleet-specific parts — admission through the
 :class:`~repro.fleet.admission.CapacityArbiter` and per-query capacity
 accounting against the pool.  Those parts live in :class:`PoolRuntime`,
 *one pool's* serving state machine, deliberately separated from the
-event loop that drives it.  There is one serve loop,
-:meth:`ShardedFleet.serve <repro.fleet.cluster.ShardedFleet.serve>`;
-:class:`FleetEngine` is a one-pool ``ShardedFleet`` behind the default
-round-robin router, so its traces carry ``query_route`` events and its
-``query_arrive``/``query_predict`` events are stamped pool ``-1`` (not
-yet routed).  In both serve modes a finished query's run state is freed
-at finish (or when its last in-flight executor grant comes back), so
-ticks and pool views walk only live queries.  The contracts that keep
+event loop that drives it.  There is one serve loop
+(:mod:`repro.fleet.cluster`), fed arrivals by :meth:`ShardedFleet.serve
+<repro.fleet.cluster.ShardedFleet.serve>` and routed submits by each
+multiprocess shard worker.  :class:`FleetEngine` is a one-pool
+``ShardedFleet`` behind the default round-robin router, so its traces
+carry ``query_route`` events and its ``query_arrive``/``query_predict``
+events are stamped pool ``-1`` (not yet routed).  In both serve modes a
+finished query's run state is freed at finish (or when its last
+in-flight executor grant comes back), so ticks and pool views walk only
+live queries.  The contracts that keep
 the loop honest: a fleet of one query on an uncontended pool reproduces
 ``simulate_query`` under
 :class:`~repro.engine.allocation.BudgetAllocation` *bit-for-bit* —
@@ -51,6 +53,7 @@ way.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,6 +81,7 @@ from repro.fleet.admission import (
 )
 from repro.fleet.arrivals import QueryArrival
 from repro.fleet.metrics import FleetMetrics, PoolStreamStats, QueryRecord, SkylineTracker
+from repro.fleet.routing import DEFAULT_RUNTIME_ESTIMATE_S, PoolView
 from repro.obs.trace import TraceEvent, Tracer
 from repro.workloads.generator import Workload
 
@@ -161,11 +165,13 @@ class FleetConfig:
 
     Attributes:
         scheduler: per-query physics (same knobs as ``simulate_query``).
-        tick_interval: idle-check / policy polling period.
+        tick_interval: idle-check / policy polling period (finite and
+            positive).
         idle_release_timeout: seconds of executor idleness before it is
             returned to the pool mid-query (``None`` holds budgets until
-            completion).  Ignored when ``scaling`` is set — the per-query
-            policy's ``idle_timeout`` governs instead.
+            completion; otherwise finite and non-negative).  Ignored
+            when ``scaling`` is set — the per-query policy's
+            ``idle_timeout`` governs instead.
         min_executors_per_query: floor idle release never shrinks below —
             a started query must be able to finish.  Ignored when
             ``scaling`` is set (the policy's ``min_executors`` governs).
@@ -226,6 +232,15 @@ class FleetConfig:
     feedback: FeedbackSink | None = None
 
     def __post_init__(self) -> None:
+        # A zero tick interval never advances the clock and NaN breaks
+        # the heap's time order: both would hang or corrupt a serve.
+        if not 0.0 < self.tick_interval < math.inf:
+            raise ValueError("tick_interval must be finite and positive")
+        timeout = self.idle_release_timeout
+        if timeout is not None and not 0.0 <= timeout < math.inf:
+            raise ValueError(
+                "idle_release_timeout must be None or finite and non-negative"
+            )
         # Normalize the shorthand: streaming=True means the defaults,
         # False means off.  Frozen dataclass, hence object.__setattr__.
         if self.streaming is True:
@@ -374,30 +389,33 @@ class PoolRuntime:
                     encoding="utf-8",
                 )
 
-    # --- pool state views (routing / autoscaling) ------------------------
-    @property
-    def capacity(self) -> int:
-        return self.arbiter.capacity
+    # --- pool state view (routing / autoscaling) -------------------------
+    def view(self) -> PoolView:
+        """This pool's live snapshot for a state-aware router or autoscaler.
 
-    @property
-    def max_capacity(self) -> int:
-        return self.arbiter.max_capacity
-
-    @property
-    def free(self) -> int:
-        return self.arbiter.free
-
-    @property
-    def in_use(self) -> int:
-        return self.arbiter.in_use
-
-    @property
-    def queue_length(self) -> int:
-        return self.arbiter.queue_length
-
-    @property
-    def active_queries(self) -> int:
-        return sum(1 for run in self.runs.values() if not run.finished)
+        Queued work prices every still-queued request at its allocator's
+        runtime estimate, the last field of its ``_pending`` entry (a
+        flat default when the allocator gave none).
+        """
+        arbiter = self.arbiter
+        queued_work = 0.0
+        for request in arbiter.queued_requests:
+            estimate = self._pending[request.query_index][-1]
+            if estimate is None:
+                estimate = DEFAULT_RUNTIME_ESTIMATE_S
+            queued_work += request.executors * estimate
+        return PoolView(
+            index=self.pool_index,
+            capacity=arbiter.capacity,
+            max_capacity=arbiter.max_capacity,
+            free=arbiter.free,
+            in_use=arbiter.in_use,
+            queue_length=arbiter.queue_length,
+            queued_executors=arbiter.queued_executors,
+            queued_work_seconds=queued_work,
+            active_queries=sum(not run.finished for run in self.runs.values()),
+            oldest_submit_time=arbiter.oldest_submit_time,
+        )
 
     # --- capacity elasticity ---------------------------------------------
     def track_capacity(self) -> None:
@@ -412,11 +430,11 @@ class PoolRuntime:
         self.capacity_skyline = Skyline()
         self.capacity_skyline.record(0.0, self.arbiter.capacity)
 
-    def resize(self, now: float, new_capacity: int) -> int:
-        """Move the pool to ``new_capacity`` (clamped by the arbiter:
-        never below outstanding grants, never above ``max_capacity``),
-        then admit whatever now fits."""
-        applied = self.arbiter.resize(new_capacity)
+    def resize(self, now: float, delta: int) -> int:
+        """Move the pool's capacity by ``delta`` (clamped by the
+        arbiter: never below outstanding grants, never above
+        ``max_capacity``), then admit whatever now fits."""
+        applied = self.arbiter.resize(self.arbiter.capacity + delta)
         if self.capacity_skyline is not None:
             self.capacity_skyline.record(now, applied)
         elif self.stats is not None and self.stats.capacity is not None:
@@ -850,9 +868,6 @@ class PoolRuntime:
                 self.poll_scaling(now, q)
 
     # --- completion -------------------------------------------------------
-    def unfinished_queries(self) -> list[int]:
-        return [q for q, run in self.runs.items() if not run.finished]
-
     def finalize(self) -> FleetMetrics:
         """Wrap this pool's outcome as :class:`FleetMetrics` (records in
         stream order; the driver imposes the cluster-wide serving
@@ -861,31 +876,21 @@ class PoolRuntime:
             self._spool.close()
             self._spool = None
         stats = self.stats
-        if stats is not None:
-            capacity = (
-                stats.capacity.peak
-                if stats.capacity is not None
-                else self.arbiter.capacity
-            )
-            return FleetMetrics(
-                capacity=capacity,
-                cores_per_executor=self._ec,
-                records=[],
-                pool_skyline=self.pool_skyline,
-                capacity_skyline=None,
-                stats=stats,
-            )
-        capacity = (
-            self.capacity_skyline.max_executors
-            if self.capacity_skyline is not None
-            else self.arbiter.capacity
-        )
+        if stats is None:
+            records = [self.records[q] for q in sorted(self.records)]
+            tracked = self.capacity_skyline
+            peak = None if tracked is None else tracked.max_executors
+        else:
+            records = []
+            tracker = stats.capacity
+            peak = None if tracker is None else tracker.peak
         return FleetMetrics(
-            capacity=capacity,
+            capacity=self.arbiter.capacity if peak is None else peak,
             cores_per_executor=self._ec,
-            records=[self.records[q] for q in sorted(self.records)],
+            records=records,
             pool_skyline=self.pool_skyline,
             capacity_skyline=self.capacity_skyline,
+            stats=stats,
         )
 
 

@@ -16,21 +16,29 @@ serve produces a :class:`~repro.fleet.metrics.ClusterMetrics` equal to
 the single-process :meth:`ShardedFleet.serve
 <repro.fleet.cluster.ShardedFleet.serve>` — records bit-for-bit in
 record mode, per-pool streaming accumulators bit-for-bit in streaming
-mode.  The argument: each worker replays exactly the event subsequence
-its pool saw in the shared heap.  Submits arrive in global submit
-order; the worker's local heap uses the same ``(time, class, seq)``
-key; the tick chain is re-anchored at the cluster-wide first admission
-time and advanced by the identical repeated float addition (ticks
-skipped while a pool is empty are no-ops there).  Per-pool metric folds
-run in the pool's own finish order, which is what the single-process
-driver uses too.  Everything but that watermarked replay loop is shared
-with the single-process driver: the allocator step
-(:func:`~repro.fleet.engine.allocator_decision`), the router's static
-views and pick check, each pool event's handling
-(:meth:`PoolRuntime.dispatch <repro.fleet.engine.PoolRuntime.dispatch>`,
-which frees a query's run state at finish in both serve modes), and the
-roll-up into :class:`~repro.fleet.metrics.ClusterMetrics`
-(:func:`~repro.fleet.cluster.cluster_metrics`).
+mode.  The argument: every worker runs the cluster's own serve loop
+(:class:`~repro.fleet.cluster._ServeLoop`) over one pool, fed that
+pool's submits, so it replays exactly the event subsequence the pool
+saw in the shared heap.  The parent decides and routes every query (the
+same :func:`~repro.fleet.engine.allocator_decision` and router views
+the single-process driver uses) and streams each pool its submits in
+global submit order, ``(t_submit, stream position)``.  Per pool feed,
+the protocol is:
+
+1. the **anchor**: the cluster-wide first submit time, sent to every
+   worker before any batch.  The worker's tick chain starts there and
+   advances by the same repeated float addition as the cluster's
+   (ticks while a static pool is empty are no-ops there too);
+2. **submit batches**: lists of ``(t_submit, q, (arrival, decision))``,
+   sent every :data:`BATCH_SIZE` arrivals (empty batches are skipped);
+3. **end**: ``None``.
+
+No watermark is needed: the loop holds one input ahead of the clock, so
+once a worker holds its pool's next submit it may advance to exactly
+that instant, and it blocks on the feed only when it needs the next one.
+Per-pool metric folds run in the pool's own finish order, which is what
+the single-process driver uses too, and the roll-up is the same
+:func:`~repro.fleet.cluster.cluster_metrics`.
 
 **Restrictions** (checked at construction / serve time):
 
@@ -42,12 +50,16 @@ roll-up into :class:`~repro.fleet.metrics.ClusterMetrics`
 - arrivals must be time-ordered (the parent streams them; it cannot
   sort what it has not seen).
 
-Two documented measure-zero caveats inherit from re-anchoring: a tick
-landing on *exactly* the same float instant as a submit or pool event
-may order differently than the shared heap would.  With continuous
-arrival gaps and task durations such collisions have probability zero;
-integer-timed synthetic streams should use the single-process driver
-when byte-identity matters.
+One documented measure-zero caveat remains: a worker's submit enters
+its heap ahead of every other event at the same instant, while the
+shared heap orders a submit among same-instant events (ticks, pool
+events, other submits) by push order, so a collision on *exactly* the
+float instant of a submit may order differently.  With continuous
+arrival gaps such collisions have probability zero; integer-timed
+synthetic streams should use the single-process driver when
+byte-identity matters.  Ticks and pool events tie as in the shared
+heap: the worker's chain is pushed at the same instants as the
+cluster's.
 
 The allocator staying in the parent is the same separation the HTTP
 serving layer exploits: :mod:`repro.serve` runs a
@@ -60,25 +72,23 @@ runs the query.
 from __future__ import annotations
 
 import heapq
-import itertools
 import multiprocessing
 import traceback
-from collections import deque
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.engine.cluster import Cluster
 from repro.fleet.arrivals import QueryArrival
 from repro.fleet.cluster import (
     PoolSpec,
-    _raise_stalled,
+    ShardedFleet,
+    _ServeLoop,
     cluster_metrics,
-    pool_specs,
     route,
     static_views,
 )
-from repro.fleet.engine import Allocator, FleetConfig, PoolRuntime, allocator_decision
+from repro.fleet.engine import Allocator, FleetConfig, allocator_decision
 from repro.fleet.metrics import ClusterMetrics, FleetMetrics
-from repro.fleet.routing import Router, RoundRobinRouter, RoutingRequest
+from repro.fleet.routing import Router, RoutingRequest
 from repro.workloads.generator import Workload
 
 if TYPE_CHECKING:  # multiprocessing.Queue is a factory method, not a type
@@ -88,120 +98,44 @@ __all__ = ["ProcessShardExecutor"]
 
 _INF = float("inf")
 
+#: Arrivals the parent decides between two rounds of feed messages.  It
+#: trades pickling overhead against how far workers lag the parent, and
+#: has no effect on results.
+BATCH_SIZE = 512
 
-def _drive_shard(
-    feed: MpQueue[tuple[object, ...]],
+
+def _serve_shard(
+    feed: MpQueue[object],
     pool_index: int,
     workload: Workload,
     spec: PoolSpec,
     cluster: Cluster,
     config: FleetConfig,
 ) -> FleetMetrics:
-    """Replay one pool's event subsequence from the parent's feed.
+    """Serve one pool on the cluster's serve loop, fed from the parent.
 
-    The feed carries ``("anchor", t)`` once (cluster-wide first
-    admission time, for tick re-anchoring), then ``("batch", watermark,
-    submits)`` messages — every submit this pool will ever receive with
-    ``t_submit < watermark`` has been delivered — and finally
-    ``("end",)``.  The local heap may only advance to events strictly
-    below the watermark; anything at or past it waits for the next
-    message.
+    The feed carries the tick anchor, then lists of this pool's submits
+    in global submit order, then ``None``.
     """
-    counter = itertools.count()
-    events: list[tuple[float, int, int, str, int, object]] = []
+    anchor = feed.get()
+    loop = _ServeLoop(workload, [(pool_index, spec)], cluster, config, {})
+    runtime = loop.runtimes[0]
 
-    def push(time: float, kind: str, q: int = -1, payload: object = None) -> None:
-        heapq.heappush(events, (time, 1, next(counter), kind, q, payload))
+    def submit(now: float, q: int, payload: tuple) -> None:
+        arrival, (budget, cached, seconds, estimate, notes) = payload
+        runtime.submit(now, q, arrival, budget, cached, seconds, notes, estimate)
 
-    anchor: float | None = None
-    last_tick: float | None = None
-    ticking = False
-    pending: deque = deque()
-    watermark = -_INF
-    end = False
-    submitted = 0
-    finished = 0
+    [metrics], _ = loop.run(_submits(feed), "submit", {"submit": submit}, anchor)
+    return metrics
 
-    def start_ticks(now: float) -> None:
-        # Continue the cluster-wide tick chain: the single-process
-        # driver anchors one chain at the first admission *anywhere*
-        # and advances it by repeated float addition.  Replay the same
-        # additions from the anchor (or from wherever the chain last
-        # parked), skipping ticks that fell while this pool was empty —
-        # no-ops on a static pool with nothing queued or running.
-        nonlocal ticking
-        if not config.wants_ticks or ticking:
-            return
-        ticking = True
-        t = (anchor if last_tick is None else last_tick) + config.tick_interval
-        while t <= now:
-            t += config.tick_interval
-        heapq.heappush(events, (t, 1, next(counter), "tick", -1, None))
 
-    runtime = PoolRuntime(
-        workload=workload,
-        capacity=spec.capacity,
-        cluster=cluster,
-        admission=spec.admission,
-        config=config,
-        push=push,
-        start_ticks=start_ticks,
-        compiled={},
-        max_capacity=spec.max_capacity,
-        tracer=None,
-        pool_index=pool_index,
-    )
-
-    def horizon() -> float:
-        t = pending[0][0] if pending else _INF
-        return min(t, events[0][0]) if events else t
-
-    while True:
-        while not end and horizon() >= watermark:
-            msg = feed.get()
-            tag = msg[0]
-            if tag == "batch":
-                watermark = msg[1]
-                pending.extend(msg[2])
-            elif tag == "anchor":
-                anchor = msg[1]
-            else:  # ("end", final_batch) — rides with the last submits so
-                # the worker needs no further feed reads once it arrives.
-                end = True
-                watermark = _INF
-                pending.extend(msg[1])
-        if not pending and not events:
-            break
-        if pending and (not events or pending[0][0] <= events[0][0]):
-            now, q, arrival, budget, cached, seconds, notes = pending.popleft()
-            submitted += 1
-            runtime.submit(now, q, arrival, budget, cached, seconds, notes)
-            continue
-        now, _, _, kind, q, payload = heapq.heappop(events)
-        if kind == "tick":
-            runtime.on_tick(now)
-            last_tick = now
-            if finished < submitted or pending or not end:
-                if end and finished < submitted and not events and not pending:
-                    _raise_stalled([runtime], submitted - finished)
-                heapq.heappush(
-                    events,
-                    (now + config.tick_interval, 1, next(counter), "tick", -1, None),
-                )
-            else:
-                # Park the chain; a later admission resumes it from
-                # last_tick with the same repeated additions.
-                ticking = False
-        elif runtime.dispatch(now, kind, q, payload):
-            finished += 1
-
-    if finished < submitted:
-        _raise_stalled([runtime], submitted - finished)
-    return runtime.finalize()
+def _submits(feed: MpQueue[object]) -> Iterator[tuple[float, int, object]]:
+    while (batch := feed.get()) is not None:
+        yield from batch
 
 
 def _shard_worker(
-    feed: MpQueue[tuple[object, ...]],
+    feed: MpQueue[object],
     results: MpQueue[tuple[int, FleetMetrics | None, str | None]],
     pool_index: int,
     workload: Workload,
@@ -210,14 +144,14 @@ def _shard_worker(
     config: FleetConfig,
 ) -> None:
     try:
-        metrics = _drive_shard(feed, pool_index, workload, spec, cluster, config)
+        metrics = _serve_shard(feed, pool_index, workload, spec, cluster, config)
     except BaseException:
         results.put((pool_index, None, traceback.format_exc()))
     else:
         results.put((pool_index, metrics, None))
 
 
-class ProcessShardExecutor:
+class ProcessShardExecutor(ShardedFleet):
     """Serve an arrival stream with one worker process per pool.
 
     Same construction surface as :class:`~repro.fleet.cluster
@@ -236,8 +170,6 @@ class ProcessShardExecutor:
             False`` (default round-robin qualifies).
         cluster: node/executor shapes and provisioning lag (shared).
         config: fleet knobs (shared by every pool).
-        batch_size: arrivals per feed message — a latency/throughput
-            knob with no effect on results.
     """
 
     def __init__(
@@ -248,17 +180,15 @@ class ProcessShardExecutor:
         router: Router | None = None,
         cluster: Cluster = Cluster(),
         config: FleetConfig = FleetConfig(),
-        batch_size: int = 512,
     ) -> None:
-        specs = pool_specs(pools)
-        for i, spec in enumerate(specs):
+        super().__init__(workload, pools, allocator, router, cluster, config)
+        for i, spec in enumerate(self.pools):
             if spec.autoscaler is not None:
                 raise ValueError(
                     f"pool {i} is autoscaled: ProcessShardExecutor requires "
                     "statically provisioned pools (autoscaler signals are "
                     "cross-pool; use ShardedFleet)"
                 )
-        self.router: Router = router if router is not None else RoundRobinRouter()
         if getattr(self.router, "uses_pool_state", True):
             raise ValueError(
                 f"router {self.router.name!r} uses live pool state, which a "
@@ -266,8 +196,6 @@ class ProcessShardExecutor:
                 "uses_pool_state = False (e.g. RoundRobinRouter) or the "
                 "single-process ShardedFleet"
             )
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if config.feedback is not None:
             raise ValueError(
                 "ProcessShardExecutor cannot run a feedback sink: the "
@@ -275,20 +203,6 @@ class ProcessShardExecutor:
                 "copies would silently diverge; use the single-process "
                 "ShardedFleet for continual learning"
             )
-        self.workload = workload
-        self.pools = specs
-        self.allocator = allocator
-        self.cluster = cluster
-        self.config = config
-        self.batch_size = batch_size
-
-    @property
-    def n_pools(self) -> int:
-        return len(self.pools)
-
-    @property
-    def max_budget(self) -> int:
-        return max(spec.max_capacity for spec in self.pools)
 
     def serve(self, arrivals: Iterable[QueryArrival]) -> ClusterMetrics:
         """Play out the whole stream; returns the cluster's metrics."""
@@ -298,7 +212,6 @@ class ProcessShardExecutor:
             ctx = multiprocessing.get_context()
         n = self.n_pools
         config = self.config
-        streaming = config.streaming
         # Bounded feeds give backpressure: a slow worker stalls the
         # parent instead of buffering the whole stream in its queue.
         feeds = [ctx.Queue(maxsize=64) for _ in range(n)]
@@ -342,7 +255,7 @@ class ProcessShardExecutor:
     def _dispatch(
         self,
         arrivals: Iterable[QueryArrival],
-        feeds: Sequence[MpQueue[tuple[object, ...]]],
+        feeds: Sequence[MpQueue[object]],
     ) -> list[int]:
         """Decide, route, and stream every submit to its pool's feed.
 
@@ -351,46 +264,46 @@ class ProcessShardExecutor:
         config = self.config
         record_mode = config.streaming is None
         views = static_views(self.pools)
-        estimates: dict[int, float | None] = {}
         # Submits replayed in global submit order: keyed by
         # (t_submit, stream position), exactly the shared heap's order
         # for submit events.
         reorder: list[tuple] = []
         batches: list[list[tuple]] = [[] for _ in feeds]
         pool_of: dict[int, int] = {}
-        anchor_sent = False
+        anchored = False
 
         def flush(limit: float) -> None:
-            nonlocal anchor_sent
+            nonlocal anchored
             while reorder and reorder[0][0] < limit:
-                entry = heapq.heappop(reorder)
-                t, pos, arrival, budget, cached, seconds, notes = entry
-                if not anchor_sent:
-                    # First submit == cluster-wide first admission: the
-                    # tick-chain anchor every worker replays from.
+                t, q, arrival, decision = heapq.heappop(reorder)
+                if not anchored:
+                    # The first submit is the cluster-wide first
+                    # admission: the tick-chain anchor of every worker.
                     for feed in feeds:
-                        feed.put(("anchor", t))
-                    anchor_sent = True
+                        feed.put(t)
+                    anchored = True
                 chosen = route(
                     self.router,
                     RoutingRequest(
                         query_id=arrival.query_id,
                         app_id=arrival.app_id,
-                        budget=budget,
-                        estimated_runtime_seconds=estimates.pop(pos),
+                        budget=decision[0],
+                        estimated_runtime_seconds=decision[3],
                         submit_time=t,
                     ),
                     views,
                 )
                 if record_mode:
-                    pool_of[pos] = chosen
-                batches[chosen].append(entry)
+                    pool_of[q] = chosen
+                batches[chosen].append((t, q, (arrival, decision)))
 
-        def send(watermark: float) -> None:
+        def send() -> None:
             for i, feed in enumerate(feeds):
-                feed.put(("batch", watermark, batches[i]))
-                batches[i] = []
+                if batches[i]:
+                    feed.put(batches[i])
+                    batches[i] = []
 
+        max_budget = self.max_budget
         pos = 0
         last_t = 0.0
         for arrival in arrivals:
@@ -401,22 +314,18 @@ class ProcessShardExecutor:
                 )
             last_t = t_arrive
             flush(t_arrive)
-            if pos and pos % self.batch_size == 0:
-                send(t_arrive)
-            budget, cached, seconds, estimate, notes = allocator_decision(
-                self.allocator, self.workload, arrival.query_id, self.max_budget
+            if pos and pos % BATCH_SIZE == 0:
+                send()
+            decision = allocator_decision(
+                self.allocator, self.workload, arrival.query_id, max_budget
             )
-            estimates[pos] = estimate
-            delay = seconds if config.charge_prediction_overhead else 0.0
-            heapq.heappush(
-                reorder,
-                (t_arrive + delay, pos, arrival, budget, cached, seconds, notes),
-            )
+            delay = decision[2] if config.charge_prediction_overhead else 0.0
+            heapq.heappush(reorder, (t_arrive + delay, pos, arrival, decision))
             pos += 1
         if pos == 0:
             raise ValueError("cannot serve an empty arrival stream")
         flush(_INF)
-        for i, feed in enumerate(feeds):
-            feed.put(("end", batches[i]))
-            batches[i] = []
+        send()
+        for feed in feeds:
+            feed.put(None)
         return [pool_of[q] for q in range(pos)] if record_mode else []

@@ -107,3 +107,12 @@ class TestTelemetryConsistency:
         pol = PredictiveAllocation(12, initial_executors=3, request_delay=0.5)
         result = simulate_query(g, pol, Cluster(), NO_FRICTION)
         assert result.max_executors == result.skyline.max_executors
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tick_interval_must_be_finite_and_positive(self, interval):
+        # A zero interval used to tick at one instant forever; NaN broke
+        # the event heap's time order mid-run.
+        with pytest.raises(ValueError, match="tick_interval"):
+            SchedulerConfig(tick_interval=interval)

@@ -39,6 +39,11 @@ class TestStage:
         with pytest.raises(ValueError):
             Stage(stage_id=0, num_tasks=1, task_seconds=0.0)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_rejects_non_finite_duration(self, seconds):
+        with pytest.raises(ValueError, match="finite"):
+            Stage(stage_id=0, num_tasks=1, task_seconds=seconds)
+
     def test_skew_factor_inflates_tail_tasks(self):
         stage = Stage(
             stage_id=0, num_tasks=20, task_seconds=1.0,

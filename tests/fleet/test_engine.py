@@ -291,6 +291,24 @@ class TestStallGuard:
             ).serve(arrivals)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tick_interval_must_be_finite_and_positive(self, interval):
+        # A zero interval used to hang the serve; NaN failed mid-serve
+        # with an unordered skyline.
+        with pytest.raises(ValueError, match="tick_interval"):
+            FleetConfig(tick_interval=interval)
+
+    @pytest.mark.parametrize("timeout", [-1.0, float("nan"), float("inf")])
+    def test_idle_release_timeout_must_be_finite_and_non_negative(self, timeout):
+        with pytest.raises(ValueError, match="idle_release_timeout"):
+            FleetConfig(idle_release_timeout=timeout)
+
+    def test_valid_timeouts_accepted(self):
+        assert FleetConfig(idle_release_timeout=None).wants_ticks is False
+        assert FleetConfig(idle_release_timeout=0.0).idle_release_timeout == 0.0
+
+
 class TestRunStateFreedAtFinish:
     """Per-query run state dies at finish in both serve modes.
 
@@ -340,3 +358,26 @@ class TestRunStateFreedAtFinish:
         ).serve(arrivals)
         assert metrics.n_queries == 20
         assert runs_at_finalize == [0, 0]
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_serve_state_freed_without_cycle_collection(self, workload, streaming):
+        # A finished serve's runtimes (and the records they hold) must
+        # die by reference counting: a loop <-> runtime reference cycle
+        # kept each serve's records alive until a full collection.
+        import gc
+
+        arrivals = poisson_arrivals(QIDS, n_queries=20, rate_qps=1.0, seed=1)
+        fleet = ShardedFleet(
+            workload,
+            [16, 16],
+            static_allocator(8),
+            config=FleetConfig(streaming=streaming),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            fleet.serve(arrivals)
+            alive = sum(isinstance(obj, PoolRuntime) for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.faults import FaultPlan, SpotMarket
+from repro.fleet import parallel
 from repro.fleet import (
     FleetConfig,
     LeastQueuedRouter,
@@ -59,12 +60,6 @@ class TestRestrictions:
                 router=LeastQueuedRouter(),
             )
 
-    def test_bad_batch_size_rejected(self, workload):
-        with pytest.raises(ValueError, match="batch_size"):
-            ProcessShardExecutor(
-                workload, [16, 16], static_allocator(4), batch_size=0
-            )
-
     def test_no_pools_rejected(self, workload):
         with pytest.raises(ValueError, match="at least one pool"):
             ProcessShardExecutor(workload, [], static_allocator(4))
@@ -95,13 +90,14 @@ class TestMergeEqualsSingleProcess:
         ).serve(arrivals)
         assert_identical_record_mode(multi, single)
 
-    def test_small_batches_change_nothing(self, workload):
+    def test_small_batches_change_nothing(self, workload, monkeypatch):
+        monkeypatch.setattr(parallel, "BATCH_SIZE", 7)
         arrivals = poisson_arrivals(QIDS, n_queries=60, rate_qps=1.5, seed=3)
         single = ShardedFleet(workload, [16, 24], static_allocator(8)).serve(
             arrivals
         )
         multi = ProcessShardExecutor(
-            workload, [16, 24], static_allocator(8), batch_size=7
+            workload, [16, 24], static_allocator(8)
         ).serve(arrivals)
         assert_identical_record_mode(multi, single)
 
@@ -189,12 +185,12 @@ class TestInProcessDrive:
         import queue
 
         from repro.fleet.cluster import cluster_metrics
-        from repro.fleet.parallel import _drive_shard
+        from repro.fleet.parallel import _serve_shard
 
         feeds = [queue.Queue() for _ in range(executor.n_pools)]
         placed = executor._dispatch(arrivals, feeds)
         metrics_by_pool = [
-            _drive_shard(
+            _serve_shard(
                 feeds[i],
                 i,
                 executor.workload,
@@ -234,26 +230,56 @@ class TestInProcessDrive:
         assert multi.summary() == single.summary()
 
 
+INERT_FAULTS = FaultPlan(seed=3)
+ACTIVE_FAULTS = FaultPlan(
+    seed=5,
+    crash_rate=1 / 5000.0,
+    straggler_rate=0.05,
+    spot=SpotMarket(fraction=0.5, discount=0.35, reclaim_rate=1 / 2000.0),
+)
+
+
 class TestMergeProperty:
+    """Merge == single process across the worker's tick chain: idle
+    release on (the default, so every pool ticks), both serve modes,
+    inert and active fault plans, and sparse streams whose pools sit
+    empty across many tick intervals, so some pool's first submit lands
+    many ticks after the cluster-wide anchor.  Driven in-process."""
+
+    _drive = TestInProcessDrive._drive
+
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         n_queries=st.integers(min_value=4, max_value=40),
         n_pools=st.integers(min_value=1, max_value=4),
         budget=st.integers(min_value=2, max_value=8),
+        rate_qps=st.sampled_from([0.02, 0.2, 1.0]),
+        streaming=st.booleans(),
+        faults=st.sampled_from([None, INERT_FAULTS, ACTIVE_FAULTS]),
     )
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_merge_equals_single_process_property(
-        self, seed, n_queries, n_pools, budget
+        self, workload, seed, n_queries, n_pools, budget, rate_qps, streaming,
+        faults,
     ):
-        workload = Workload(scale_factor=50, query_ids=QIDS)
         arrivals = poisson_arrivals(
-            QIDS, n_queries=n_queries, rate_qps=1.0, seed=seed
+            QIDS, n_queries=n_queries, rate_qps=rate_qps, seed=seed
         )
         pools = [16] * n_pools
+        config = FleetConfig(streaming=streaming, faults=faults)
         single = ShardedFleet(
-            workload, pools, static_allocator(budget)
+            workload, pools, static_allocator(budget), config=config
         ).serve(arrivals)
-        multi = ProcessShardExecutor(
-            workload, pools, static_allocator(budget)
-        ).serve(arrivals)
-        assert_identical_record_mode(multi, single)
+        multi = self._drive(
+            ProcessShardExecutor(
+                workload, pools, static_allocator(budget), config=config
+            ),
+            arrivals,
+        )
+        if streaming:
+            for got, want in zip(multi.pools, single.pools):
+                assert got.stats == want.stats
+                assert got.serving_window == want.serving_window
+            assert multi.summary() == single.summary()
+        else:
+            assert_identical_record_mode(multi, single)
